@@ -59,6 +59,7 @@ from .simulator import (
     STANDARD_X,
     WARM_START,
     WARM_START_ROUNDED,
+    Circuit,
     MixerSpec,
     QaoaParams,
     StateTooLargeError,
@@ -79,6 +80,7 @@ from .variational import (
     QaoaResult,
     cut_probability,
     default_depth1_grid,
+    grid_refine,
     grid_search,
     minimize,
     probability_of,

@@ -42,7 +42,7 @@ from .relaxation import (
     solve_maxcut_sdp,
     solve_qp,
 )
-from .rqaoa import AmbiguousEliminationError, RqaoaConfig, run_rqaoa
+from .rqaoa import METHOD_MODES, AmbiguousEliminationError, RqaoaConfig, run_rqaoa
 from .simulator import STANDARD_X, WARM_START, WARM_START_ROUNDED, StateTooLargeError
 from .variational import GridSpec, cut_probability, run_qaoa
 
@@ -120,8 +120,11 @@ def _solve_graph(args, graph) -> dict:
     seed = args.seed
     result: dict = {}
     trace_rows = None
+    optimum = None  # (z, ground) of an exact solve that already ran
+    grid = _parse_grid(args.grid) if args.grid else None
     if method == "brute":
-        z, ground = brute_force(maxcut_to_ising(graph))
+        optimum = brute_force(maxcut_to_ising(graph))
+        z, ground = optimum
         result["value"] = -ground
         result["assignment"] = z.tolist()
     elif method == "sdp":
@@ -137,7 +140,6 @@ def _solve_graph(args, graph) -> dict:
         result["assignment"] = best.z.tolist()
     elif method in ("qaoa", "ws-qaoa"):
         ising = maxcut_to_ising(graph)
-        grid = _parse_grid(args.grid) if args.grid else None
         seeding = ("random", args.multistart) if args.multistart else "grid"
         if method == "qaoa":
             qaoa = run_qaoa(
@@ -165,20 +167,19 @@ def _solve_graph(args, graph) -> dict:
         result["assignment"] = z
         result["value"] = cut_value(graph, np.asarray(z))
         if graph.n <= RATIO_MAX_NODES:
-            z_opt, ground = brute_force(maxcut_to_ising(graph))
-            result["p_target"] = cut_probability(qaoa.state, z_opt)
-    elif method in ("rqaoa", "ws-rqaoa", "classical-gw"):
-        mode = {"rqaoa": "standard", "ws-rqaoa": "warm-start", "classical-gw": "classical-gw"}[method]
+            optimum = brute_force(ising)
+            result["p_target"] = cut_probability(qaoa.state, optimum[0])
+    elif method in METHOD_MODES:
         cfg = RqaoaConfig(
             n_stop=args.n_stop if args.n_stop else max(1, graph.n // 2),
             n_samples=args.gw_samples,
             keep=args.gw_keep,
             epsilon=args.epsilon,
-            mode=mode,
+            mode=METHOD_MODES[method],
+            grid=grid,
         )
         outcome = run_rqaoa(graph, cfg, seed=seed)
         result["value"] = outcome.value
-        result["cut"] = outcome.assignment.z.tolist()
         result["assignment"] = outcome.assignment.z.tolist()
         result["eliminations"] = [
             {"eliminated": r.eliminated, "kept": r.kept, "sign": r.sign}
@@ -189,11 +190,11 @@ def _solve_graph(args, graph) -> dict:
         raise ConfigError(f"method {method!r} does not apply to graph instances")
 
     if "value" in result and method != "sdp" and graph.n <= RATIO_MAX_NODES:
-        _, ground = brute_force(maxcut_to_ising(graph))
+        _, ground = optimum or brute_force(maxcut_to_ising(graph))
         max_cut = -ground
         result["max_cut"] = max_cut
-        result["ratio"] = result["value"] / max_cut if max_cut else 1.0
-        if "cut" in result:
+        result["ratio"] = experiments.cut_ratio(result["value"], max_cut)
+        if method in METHOD_MODES:
             result["optimal"] = bool(abs(result["value"] - max_cut) < 1e-9)
     if trace_rows is not None:
         if args.trace:
@@ -273,7 +274,6 @@ def cmd_solve(args) -> int:
         "gw_keep": args.gw_keep,
         "multistart": args.multistart,
         "grid": args.grid,
-        "mode": args.mode,
     }
     if args.out:
         write_json(args.out, result)
@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--gw-keep", type=int, default=5, help="retained unique cuts")
     solve.add_argument("--grid", default=None, help="seeding grid as BxG, e.g. 24x24")
     solve.add_argument("--multistart", type=int, default=None)
-    solve.add_argument("--mode", default=None)
     solve.add_argument("--trace", default=None, help="write per-iteration JSON lines here")
     solve.set_defaults(func=cmd_solve)
 
@@ -396,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--n-stop", type=int, default=None)
     exp.add_argument("--gw-samples", type=int, default=10)
     exp.add_argument("--gw-keep", type=int, default=5)
-    exp.add_argument("--grid", default=None)
     exp.add_argument("--multistart", type=int, default=None)
     exp.add_argument("--mode", default=None)
     exp.add_argument("--trajectories", type=int, default=20_000)

@@ -18,7 +18,7 @@ from .problems import (
     qubo_to_ising,
 )
 from .relaxation import GramFactor, gw_best_cuts, gw_round, solve_maxcut_sdp, solve_qp
-from .rqaoa import RqaoaConfig, run_classical_recursive_gw, run_rqaoa
+from .rqaoa import METHOD_MODES, RqaoaConfig, run_rqaoa
 from .seeding import derive_seed
 from .simulator import STANDARD_X, WARM_START, WARM_START_ROUNDED
 from .variational import run_qaoa
@@ -167,24 +167,12 @@ def recursive_comparison(
             if method == "gw":
                 cuts = gw_best_cuts(graph, n_samples, 1, seed=method_seed)
                 value = cut_value(graph, cuts[0].z)
-            elif method == "rqaoa":
+            elif method in METHOD_MODES:
                 cfg = RqaoaConfig(
                     n_stop=n_stop, n_samples=n_samples, keep=keep,
-                    epsilon=epsilon, mode="standard",
+                    epsilon=epsilon, mode=METHOD_MODES[method],
                 )
                 value = run_rqaoa(graph, cfg, seed=method_seed).value
-            elif method == "ws-rqaoa":
-                cfg = RqaoaConfig(
-                    n_stop=n_stop, n_samples=n_samples, keep=keep,
-                    epsilon=epsilon, mode="warm-start",
-                )
-                value = run_rqaoa(graph, cfg, seed=method_seed).value
-            elif method == "classical-gw":
-                cfg = RqaoaConfig(
-                    n_stop=n_stop, n_samples=n_samples, keep=keep,
-                    epsilon=epsilon, mode="classical-gw",
-                )
-                _, value = run_classical_recursive_gw(graph, cfg, seed=method_seed)
             else:
                 raise ValueError(f"unknown method {method!r}")
             rows.append(

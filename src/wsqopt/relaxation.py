@@ -76,8 +76,8 @@ def _kkt_residual(c: np.ndarray, grad: np.ndarray) -> float:
     Interior coordinates need |grad| small, coordinates at 0 need grad >= 0,
     coordinates at 1 need grad <= 0.
     """
-    lower = np.isclose(c, 0.0, atol=1e-14)
-    upper = np.isclose(c, 1.0, atol=1e-14)
+    lower = np.isclose(c, 0.0, rtol=0.0, atol=1e-14)
+    upper = np.isclose(c, 1.0, rtol=0.0, atol=1e-14)
     interior = ~(lower | upper)
     res = np.zeros_like(c)
     res[interior] = np.abs(grad[interior])

@@ -9,7 +9,7 @@ substitution through the recorded pins yields a full assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,9 +29,10 @@ from .simulator import (
     StateVector,
     depth1_edge_correlators,
 )
-from .variational import GridSpec, OptimizerConfig, default_depth1_grid, grid_search, minimize
+from .variational import GridSpec, grid_refine
 
-RQAOA_MODES = ("standard", "warm-start", "classical-gw")
+# solve method name -> recursion mode
+METHOD_MODES = {"rqaoa": "standard", "ws-rqaoa": "warm-start", "classical-gw": "classical-gw"}
 
 
 class AmbiguousEliminationError(RuntimeError):
@@ -55,11 +56,8 @@ class RqaoaConfig:
     n_samples: int = 10
     keep: int = 5
     epsilon: float = 0.25
-    depth: int = 1
     seeding: tuple = ("grid",)
     mode: str = "warm-start"
-    allow_zero_correlation: bool = False
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     grid: GridSpec | None = None
 
     def __post_init__(self):
@@ -69,9 +67,7 @@ class RqaoaConfig:
             raise ValueError("need n_samples >= keep >= 1")
         if not (0.0 <= self.epsilon <= 0.5):
             raise ValueError("epsilon must lie in [0, 0.5]")
-        if self.depth != 1:
-            raise ValueError("the recursion only supports depth one")
-        if self.mode not in RQAOA_MODES:
+        if self.mode not in METHOD_MODES.values():
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -195,15 +191,8 @@ def _optimize_depth1(g, c_star, epsilon, mixer_kind, cfg: RqaoaConfig):
     if cfg.seeding and cfg.seeding[0] == "fixed":
         beta, gamma = float(cfg.seeding[1]), float(cfg.seeding[2])
         return beta, gamma
-    grid = cfg.grid or default_depth1_grid()
-    seed_point = grid_search(
-        lambda beta, gamma: depth1_energy(g, c_star, epsilon, beta, gamma, mixer_kind),
-        grid,
-    )
-    result = minimize(
-        lambda x: depth1_energy(g, c_star, epsilon, x[0], x[1], mixer_kind),
-        np.array(seed_point),
-        cfg.optimizer,
+    result = grid_refine(
+        lambda x: depth1_energy(g, c_star, epsilon, x[0], x[1], mixer_kind), 1, cfg.grid
     )
     return float(result.x[0]), float(result.x[1])
 
@@ -256,9 +245,7 @@ def run_rqaoa(g: WeightedGraph, cfg: RqaoaConfig, seed: int = 0) -> RqaoaResult:
                     )
                 matrix = aggregate_correlations(matrices)
 
-        reduced, record, offset = eliminate(
-            current, matrix, allow_zero=cfg.allow_zero_correlation
-        )
+        reduced, record, offset = eliminate(current, matrix)
         keep_orig = node_map[record.kept]
         elim_orig = node_map[record.eliminated]
         records.append(
@@ -306,17 +293,5 @@ def run_rqaoa(g: WeightedGraph, cfg: RqaoaConfig, seed: int = 0) -> RqaoaResult:
 
 def run_classical_recursive_gw(g: WeightedGraph, cfg: RqaoaConfig, seed: int = 0):
     """Recursive benchmark that follows averaged hyperplane-rounding cuts."""
-    classical_cfg = RqaoaConfig(
-        n_stop=cfg.n_stop,
-        n_samples=cfg.n_samples,
-        keep=cfg.keep,
-        epsilon=cfg.epsilon,
-        depth=cfg.depth,
-        seeding=cfg.seeding,
-        mode="classical-gw",
-        allow_zero_correlation=cfg.allow_zero_correlation,
-        optimizer=cfg.optimizer,
-        grid=cfg.grid,
-    )
-    result = run_rqaoa(g, classical_cfg, seed=seed)
+    result = run_rqaoa(g, replace(cfg, mode="classical-gw"), seed=seed)
     return result.assignment, result.value

@@ -104,7 +104,11 @@ class WarmStartAngles:
 
     @classmethod
     def from_c_star(cls, c_star, epsilon: float) -> "WarmStartAngles":
-        clamped = clamp_probabilities(c_star, epsilon)
+        return cls.from_probabilities(clamp_probabilities(c_star, epsilon), epsilon)
+
+    @classmethod
+    def from_probabilities(cls, clamped, epsilon: float) -> "WarmStartAngles":
+        """Angles of already clamped one-probabilities."""
         return cls(theta=2.0 * np.arcsin(np.sqrt(clamped)), epsilon=float(epsilon))
 
     @property
@@ -176,7 +180,10 @@ def prepare_ws_state(c_star, epsilon: float) -> StateVector:
 
     The probability of measuring one on qubit i equals the clamped c_i.
     """
-    angles = WarmStartAngles.from_c_star(c_star, epsilon)
+    return _product_state(WarmStartAngles.from_c_star(c_star, epsilon))
+
+
+def _product_state(angles: WarmStartAngles) -> StateVector:
     n = angles.n
     _check_qubits(n)
     amplitudes = np.array([1.0 + 0.0j])
@@ -269,6 +276,60 @@ def apply_mixer(s: StateVector, spec: MixerSpec, beta: float) -> StateVector:
     return StateVector(amplitudes, s.n)
 
 
+def _mixer_probabilities(n: int, mixer_kind: str, c_star, epsilon: float):
+    """Checked mixer family and the per-qubit one-probabilities it starts from.
+
+    The standard family ignores ``c_star`` and starts every qubit at 1/2; the
+    warm families require ``c_star`` of length n and clamp it into
+    [epsilon, 1 - epsilon].
+    """
+    kind = mixer_kind.lower()
+    if kind not in MIXER_KINDS:
+        raise ValueError(f"unknown mixer kind {mixer_kind!r}")
+    if kind == STANDARD_X:
+        return kind, np.full(n, 0.5)
+    if c_star is None:
+        raise ValueError("warm mixer kinds require c_star")
+    clamped = clamp_probabilities(c_star, epsilon)
+    if clamped.size != n:
+        raise ValueError("c_star length must match the model")
+    return kind, clamped
+
+
+class Circuit:
+    """Alternating cost / mixer circuit of one mixer family on one model.
+
+    The standard family starts from the uniform superposition; the warm
+    families start from the product state prepared from the clamped
+    ``c_star`` and reuse the same angles in the mixer. The initial state, the
+    mixer and the energy table are built once, so ``state`` can be called for
+    many parameter sets.
+    """
+
+    def __init__(self, ising: IsingModel, mixer_kind: str, c_star=None, epsilon: float = 0.25):
+        kind, clamped = _mixer_probabilities(ising.n, mixer_kind, c_star, epsilon)
+        if kind == STANDARD_X:
+            self.initial = plus_state(ising.n)
+            self.mixer = MixerSpec(kind=kind)
+        else:
+            angles = WarmStartAngles.from_probabilities(clamped, epsilon)
+            self.initial = _product_state(angles)
+            self.mixer = MixerSpec(kind=kind, angles=angles)
+        self.table = energy_table(ising)
+
+    def state(self, params: QaoaParams) -> StateVector:
+        """Trial state after the p layers of ``params``."""
+        state = self.initial
+        for beta, gamma in zip(params.betas, params.gammas):
+            phased = StateVector(state.amplitudes * np.exp(-1j * gamma * self.table), state.n)
+            state = apply_mixer(phased, self.mixer, beta)
+        return state
+
+    def energy(self, state: StateVector) -> float:
+        """Energy expectation of a state of this circuit."""
+        return float(state.probabilities() @ self.table)
+
+
 def qaoa_state(
     ising: IsingModel,
     mixer_kind: str,
@@ -276,34 +337,8 @@ def qaoa_state(
     c_star=None,
     epsilon: float = 0.25,
 ) -> StateVector:
-    """Trial state after p alternating cost / mixer layers.
-
-    The standard family starts from the uniform superposition and ignores
-    ``c_star``; the warm families start from the product state prepared from
-    the clamped ``c_star`` and reuse the same clamped angles in the mixer.
-    """
-    kind = mixer_kind.lower()
-    if kind not in MIXER_KINDS:
-        raise ValueError(f"unknown mixer kind {mixer_kind!r}")
-    if kind == STANDARD_X:
-        state = plus_state(ising.n)
-        spec = MixerSpec(kind=kind)
-    else:
-        if c_star is None:
-            raise ValueError("warm mixer kinds require c_star")
-        angles = WarmStartAngles.from_c_star(c_star, epsilon)
-        if angles.n != ising.n:
-            raise ValueError("c_star length must match the model")
-        state = prepare_ws_state(c_star, epsilon)
-        spec = MixerSpec(kind=kind, angles=angles)
-
-    table = energy_table(ising)
-    amplitudes = state.amplitudes
-    for layer in range(params.p):
-        amplitudes = amplitudes * np.exp(-1j * params.gammas[layer] * table)
-        state = apply_mixer(StateVector(amplitudes, ising.n), spec, params.betas[layer])
-        amplitudes = state.amplitudes
-    return StateVector(amplitudes, ising.n)
+    """Trial state after p alternating cost / mixer layers; see ``Circuit``."""
+    return Circuit(ising, mixer_kind, c_star, epsilon).state(params)
 
 
 def expectation(s: StateVector, ising: IsingModel) -> float:
@@ -360,19 +395,9 @@ def depth1_edge_correlators(
     then acts as a 4x4 unitary. Cost is O(n) per pair. ``pairs`` is an
     (m, 2) integer array; ``c_star`` may be None for the standard family.
     """
-    kind = mixer_kind.lower()
-    if kind not in MIXER_KINDS:
-        raise ValueError(f"unknown mixer kind {mixer_kind!r}")
     n = g.n
-    if kind == STANDARD_X:
-        clamped = np.full(n, 0.5)
-    else:
-        if c_star is None:
-            raise ValueError("warm mixer kinds require c_star")
-        clamped = clamp_probabilities(c_star, epsilon)
-        if clamped.size != n:
-            raise ValueError("c_star length must match the graph")
-    theta = 2.0 * np.arcsin(np.sqrt(clamped))
+    kind, clamped = _mixer_probabilities(n, mixer_kind, c_star, epsilon)
+    theta = WarmStartAngles.from_probabilities(clamped, epsilon).theta
 
     pairs = np.asarray(pairs, dtype=int)
     if pairs.ndim != 2 or pairs.shape[1] != 2:

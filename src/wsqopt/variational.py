@@ -8,19 +8,7 @@ import numpy as np
 
 from .problems import IsingModel
 from .seeding import derive_seed
-from .simulator import (
-    MIXER_KINDS,
-    STANDARD_X,
-    QaoaParams,
-    StateVector,
-    WarmStartAngles,
-    MixerSpec,
-    apply_mixer,
-    energy_table,
-    index_of_bits,
-    plus_state,
-    prepare_ws_state,
-)
+from .simulator import Circuit, QaoaParams, StateVector, index_of_bits
 
 
 @dataclass
@@ -183,6 +171,27 @@ def grid_search(objective, spec: GridSpec):
     return best
 
 
+def grid_refine(
+    objective, p: int, grid: GridSpec | None = None, cfg: OptimizerConfig | None = None
+) -> MinimizeResult:
+    """Grid-search (beta_1, gamma_1) with higher layers zeroed, then refine.
+
+    ``objective`` takes the concatenated (betas, gammas) vector of length
+    2p; the grid defaults to ``default_depth1_grid``. Returns the
+    ``MinimizeResult`` of the local search started at the best grid point.
+    """
+
+    def padded(beta, gamma):
+        x = np.zeros(2 * p)
+        x[0], x[p] = beta, gamma
+        return x
+
+    point = grid_search(
+        lambda beta, gamma: objective(padded(beta, gamma)), grid or default_depth1_grid()
+    )
+    return minimize(objective, padded(*point), cfg)
+
+
 @dataclass
 class QaoaResult:
     """Optimized circuit parameters, energy, state and bookkeeping."""
@@ -210,16 +219,6 @@ def cut_probability(state: StateVector, z) -> float:
     return max(probability_of(state, bits), probability_of(state, flipped))
 
 
-def _build_state(ising, table, spec, initial, params: QaoaParams) -> StateVector:
-    amplitudes = initial.amplitudes
-    for layer in range(params.p):
-        amplitudes = amplitudes * np.exp(-1j * params.gammas[layer] * table)
-        amplitudes = apply_mixer(
-            StateVector(amplitudes, ising.n), spec, params.betas[layer]
-        ).amplitudes
-    return StateVector(amplitudes, ising.n)
-
-
 def run_qaoa(
     ising: IsingModel,
     mixer_kind: str,
@@ -231,14 +230,13 @@ def run_qaoa(
     cfg: OptimizerConfig | None = None,
     seed: int = 0,
     target=None,
-    target_is_cut: bool = False,
 ) -> QaoaResult:
     """Minimize the trial-state energy over the 2p layer parameters.
 
     Seeding modes:
 
-    * ``"grid"`` -- grid-search (beta_1, gamma_1) at full depth with higher
-      layers zeroed, then refine all parameters locally;
+    * ``"grid"`` -- ``grid_refine`` over ``grid`` (default
+      ``default_depth1_grid``) at full depth;
     * ``("random", k)`` -- best of k local searches from uniform random
       starts (beta in [0, pi), gamma in [0, 2 pi)), seeded deterministically;
     * ``("explicit", x0)`` -- single local search from the given
@@ -246,46 +244,17 @@ def run_qaoa(
 
     The reported energy is recomputed from the returned state.
     """
-    kind = mixer_kind.lower()
-    if kind not in MIXER_KINDS:
-        raise ValueError(f"unknown mixer kind {mixer_kind!r}")
-    if kind == STANDARD_X:
-        initial = plus_state(ising.n)
-        spec = MixerSpec(kind=kind)
-    else:
-        if c_star is None:
-            raise ValueError("warm mixer kinds require c_star")
-        angles = WarmStartAngles.from_c_star(c_star, epsilon)
-        if angles.n != ising.n:
-            raise ValueError("c_star length must match the model")
-        initial = prepare_ws_state(c_star, epsilon)
-        spec = MixerSpec(kind=kind, angles=angles)
-
-    table = energy_table(ising)
+    circuit = Circuit(ising, mixer_kind, c_star, epsilon)
     evals = 0
 
     def objective(x: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        params = QaoaParams(betas=x[:p], gammas=x[p:])
-        state = _build_state(ising, table, spec, initial, params)
-        return float(state.probabilities() @ table)
+        return circuit.energy(circuit.state(QaoaParams(betas=x[:p], gammas=x[p:])))
 
     cfg = cfg or OptimizerConfig()
-    if seeding == "grid" or (isinstance(seeding, tuple) and seeding[0] == "grid"):
-        grid_spec = grid or default_depth1_grid()
-        if isinstance(seeding, tuple) and len(seeding) > 1 and seeding[1] is not None:
-            grid_spec = seeding[1]
-
-        def seed_objective(beta, gamma):
-            x = np.zeros(2 * p)
-            x[0], x[p] = beta, gamma
-            return objective(x)
-
-        beta1, gamma1 = grid_search(seed_objective, grid_spec)
-        x0 = np.zeros(2 * p)
-        x0[0], x0[p] = beta1, gamma1
-        result = minimize(objective, x0, cfg)
+    if seeding == "grid":
+        result = grid_refine(objective, p, grid, cfg)
     elif isinstance(seeding, tuple) and seeding[0] == "random":
         k = int(seeding[1])
         if k < 1:
@@ -307,12 +276,8 @@ def run_qaoa(
         raise ValueError(f"unknown seeding spec {seeding!r}")
 
     params = QaoaParams(betas=result.x[:p], gammas=result.x[p:])
-    state = _build_state(ising, table, spec, initial, params)
-    energy = float(state.probabilities() @ table)
-    p_target = None
-    if target is not None:
-        if target_is_cut:
-            p_target = cut_probability(state, target)
-        else:
-            p_target = probability_of(state, target)
-    return QaoaResult(params=params, energy=energy, state=state, evals=evals, p_target=p_target)
+    state = circuit.state(params)
+    p_target = None if target is None else probability_of(state, target)
+    return QaoaResult(
+        params=params, energy=circuit.energy(state), state=state, evals=evals, p_target=p_target
+    )

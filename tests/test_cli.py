@@ -110,6 +110,26 @@ class TestSolve:
         assert len(lines) == 3
         assert all("chosen_pair" in row for row in lines)
 
+    def test_grid_reaches_recursive_methods(self, tmp_path, monkeypatch):
+        import wsqopt.cli
+
+        gpath = tmp_path / "g.txt"
+        write_graph(gpath, complete_graph(6, seed=8))
+        seen = []
+        original = wsqopt.cli.run_rqaoa
+
+        def recording(g, cfg, seed):
+            seen.append(cfg)
+            return original(g, cfg, seed=seed)
+
+        monkeypatch.setattr(wsqopt.cli, "run_rqaoa", recording)
+        for method in ("rqaoa", "ws-rqaoa"):
+            assert run_cli(
+                "solve", "--method", method, "--instance", str(gpath), "--n-stop", "4",
+                "--grid", "4x6", "--out", str(tmp_path / f"{method}.json"),
+            ) == 0
+        assert [(cfg.grid.beta_points, cfg.grid.gamma_points) for cfg in seen] == [(4, 6), (4, 6)]
+
     def test_qp_on_portfolio(self, tmp_path):
         ppath = tmp_path / "p.json"
         run_cli("generate", "portfolio", "--n", "4", "--seed", "1", "--out", str(ppath))

@@ -21,6 +21,7 @@ from wsqopt.relaxation import (
     goemans_williamson_alpha,
     gw_best_cuts,
     gw_round,
+    _kkt_residual,
     solve_maxcut_sdp,
     solve_qp,
 )
@@ -80,6 +81,12 @@ class TestSolveQp:
                 assert slope <= 1e-7
             else:
                 assert abs(slope) <= 1e-7
+
+    def test_kkt_residual_near_upper_bound(self):
+        # within 1e-5 of the bound but not on it: the coordinate is interior,
+        # so its whole gradient is a violation
+        assert _kkt_residual(np.array([1.0 - 7e-6]), np.array([-8.4e-6])) == 8.4e-6
+        assert _kkt_residual(np.array([1.0]), np.array([-8.4e-6])) == 0.0
 
 
 class TestSolveMaxcutSdp:

@@ -215,5 +215,5 @@ class TestRunRqaoa:
         assert value >= cut_value(g, best.z) - 1e-9
 
     def test_depth_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RqaoaConfig(n_stop=2, depth=2)

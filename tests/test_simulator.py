@@ -10,6 +10,7 @@ from wsqopt.simulator import (
     STANDARD_X,
     WARM_START,
     WARM_START_ROUNDED,
+    Circuit,
     MixerSpec,
     QaoaParams,
     StateTooLargeError,
@@ -193,6 +194,18 @@ class TestQaoaState:
         warm = qaoa_state(ising, WARM_START, params, c_star=rng.uniform(0, 1, 6), epsilon=0.5)
         standard = qaoa_state(ising, STANDARD_X, params)
         assert 1.0 - fidelity(warm, standard) <= 1e-12
+
+    def test_circuit_reused_across_parameters(self):
+        rng = np.random.default_rng(11)
+        ising = maxcut_to_ising(complete_graph(5, seed=11))
+        c = rng.uniform(0, 1, 5)
+        circuit = Circuit(ising, WARM_START, c_star=c, epsilon=0.2)
+        params = [QaoaParams(rng.uniform(0, np.pi, p), rng.uniform(0, 2 * np.pi, p)) for p in (1, 2, 1)]
+        states = [circuit.state(x) for x in params]
+        for x, state in zip(params, states):
+            fresh = qaoa_state(ising, WARM_START, x, c_star=c, epsilon=0.2)
+            np.testing.assert_array_equal(state.amplitudes, fresh.amplitudes)
+            assert circuit.energy(state) == pytest.approx(expectation(state, ising), abs=1e-12)
 
     def test_requires_c_star_for_warm_kinds(self):
         ising = maxcut_to_ising(complete_graph(3, seed=1))
