@@ -60,6 +60,7 @@ from .simulator import (
     WARM_START,
     WARM_START_ROUNDED,
     Circuit,
+    Depth1Evaluator,
     MixerSpec,
     QaoaParams,
     StateTooLargeError,

@@ -26,6 +26,7 @@ from .seeding import derive_seed
 from .simulator import (
     STANDARD_X,
     WARM_START_ROUNDED,
+    Depth1Evaluator,
     StateVector,
     depth1_edge_correlators,
 )
@@ -191,8 +192,12 @@ def _optimize_depth1(g, c_star, epsilon, mixer_kind, cfg: RqaoaConfig):
     if cfg.seeding and cfg.seeding[0] == "fixed":
         beta, gamma = float(cfg.seeding[1]), float(cfg.seeding[2])
         return beta, gamma
+    depth1 = Depth1Evaluator(maxcut_to_ising(g), mixer_kind, c_star, epsilon)
     result = grid_refine(
-        lambda x: depth1_energy(g, c_star, epsilon, x[0], x[1], mixer_kind), 1, cfg.grid
+        depth1.energy,
+        lambda x: depth1_energy(g, c_star, epsilon, x[0], x[1], mixer_kind),
+        1,
+        cfg.grid,
     )
     return float(result.x[0]), float(result.x[1])
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import IsingModel, WeightedGraph
+from .problems import IsingModel, WeightedGraph, maxcut_to_ising
 
 DEFAULT_MAX_QUBITS = 24
 MAX_QUBITS_ENV = "WSQOPT_MAX_QUBITS"
@@ -368,13 +368,172 @@ def sample(s: StateVector, shots: int, seed: int = 0) -> dict:
     return counts
 
 
-def _mixer_stack(kind: str, theta: np.ndarray, beta: float) -> np.ndarray:
-    """Per-node 2x2 mixer unitaries stacked into an (n, 2, 2) array."""
-    n = theta.size
-    out = np.empty((n, 2, 2), dtype=complex)
-    for i in range(n):
-        out[i] = mixer_unitary(kind, theta[i], beta)
-    return out
+class Depth1Evaluator:
+    """Depth-one expectations of one mixer family on one model, in Bloch form.
+
+    Every family starts from the product state of ``Circuit``, whose qubit i
+    has the Bloch vector (sin t_i, 0, cos t_i), t_i = 2 arcsin(sqrt(c_i)) for
+    the clamped one-probability c_i (1/2 for the standard family). The mixer
+    is ``exp(i beta a_i . sigma)`` about the axis a_i = (sin t_i, 0, cos t_i)
+    for the warm-start family, (-sin t_i, 0, cos t_i) for the rounded one and
+    (1, 0, 0) for the standard one.
+
+    The cost layer depends only on gamma: it sets each pair's 3x3 Pauli
+    correlation tensor T_e[a, b] = <sigma^a_i sigma^b_j> and each qubit's
+    Bloch vector b_i. Every third qubit k enters a pair as a classical
+    dephasing factor cos(2 gamma x) - i cos t_k sin(2 gamma x), x being its
+    coupling to i, to j, or their sum or difference, and a field enters as a
+    coupling to a spin fixed at +1, so a pair costs O(n). The mixer
+    depends only on beta: it turns Z into n_i = U_i^dagger Z U_i. Then
+    <Z_i Z_j> = n_i^T T_e n_j and <Z_i> = n_i . b_i, so a whole (beta, gamma)
+    grid is one contraction.
+
+    ``pairs`` is an (m, 2) integer array of the pairs whose correlators are
+    wanted; it defaults to the model's couplings. The evaluation methods take
+    ``beta`` and ``gamma`` as scalars or as an outer grid (one a column, the
+    other a row) and return the broadcast shape, followed by the pair or
+    qubit axis where there is one.
+    """
+
+    def __init__(
+        self, ising: IsingModel, mixer_kind: str, c_star=None, epsilon: float = 0.25, pairs=None
+    ):
+        n = ising.n
+        kind, clamped = _mixer_probabilities(n, mixer_kind, c_star, epsilon)
+        if pairs is None:
+            pairs = np.array(list(ising.couplings), dtype=int).reshape(-1, 2)
+        pairs = np.asarray(pairs, dtype=int)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("pairs must be an (m, 2) array")
+        ii, jj = pairs[:, 0], pairs[:, 1]
+        if np.any(ii == jj):
+            raise ValueError("pair indices must differ")
+        if np.any(pairs < 0) or np.any(pairs >= n):
+            raise ValueError("pair index out of range")
+        self.n, self.ii, self.jj = n, ii, jj
+        self.offset = ising.offset
+        self.fields = ising.fields
+
+        upper = ising.coupling_matrix()
+        couplings = upper + upper.T
+        self.weights = couplings[ii, jj]
+        # From the amplitudes (cos(t/2), sin(t/2)) that Circuit prepares, not
+        # from c_i: at a prepared cut (beta = pi/2, gamma = 0) every correlator
+        # is +-1 up to rounding and its last bit decides rqaoa.eliminate;
+        # tests/recorded_outputs.json pins the choices this rounding makes.
+        half = WarmStartAngles.from_probabilities(clamped, epsilon).theta / 2.0
+        cos_h, sin_h = np.cos(half), np.sin(half)
+        self.cos_t = cos_h * cos_h - sin_h * sin_h
+        self.sin_t = 2.0 * cos_h * sin_h
+        if kind == STANDARD_X:
+            self.axis_cos, self.axis_sin = np.zeros(n), np.ones(n)
+        else:
+            sign = -1.0 if kind == WARM_START_ROUNDED else 1.0
+            self.axis_cos, self.axis_sin = self.cos_t, sign * self.sin_t
+
+        # Rows of couplings to the third qubits (the pair's own qubits
+        # zeroed) with the field as a last column; one row per product:
+        # i alone, j alone, i and j flipped together, i and j flipped apart,
+        # then every single qubit.
+        m = ii.size
+        rows = np.arange(m)
+        from_i = np.hstack([couplings[ii], self.fields[ii, None]])
+        from_j = np.hstack([couplings[jj], self.fields[jj, None]])
+        from_i[rows, jj] = 0.0
+        from_j[rows, ii] = 0.0
+        single = np.hstack([couplings, self.fields[:, None]])
+        self._angles = np.vstack([from_i, from_j, from_i + from_j, from_i - from_j, single])
+        self._third_cos = np.append(self.cos_t, 1.0)
+
+    def _mixer_axes(self, betas) -> np.ndarray:
+        """(B, n, 3) Heisenberg-rotated Z, n_i(beta), for a 1-D array of betas."""
+        cos2 = np.cos(2.0 * betas)[:, None]
+        sin2 = np.sin(2.0 * betas)[:, None]
+        c, s = self.axis_cos, self.axis_sin
+        return np.stack(
+            [c * s * (1.0 - cos2), -s * sin2, cos2 + c * c * (1.0 - cos2)], axis=-1
+        )
+
+    def _cost_layer(self, gammas):
+        """Pair tensors (G, m, 3, 3) and Bloch vectors (G, n, 3) per gamma."""
+        gammas = np.asarray(gammas, dtype=float)
+        # one gamma at a time keeps the (rows, n + 1) factors small
+        products = np.empty((gammas.size, self._angles.shape[0]), dtype=complex)
+        for index, gamma in enumerate(gammas):
+            phase = (2.0 * gamma) * self._angles
+            products[index] = (np.cos(phase) - 1j * self._third_cos * np.sin(phase)).prod(axis=1)
+        m = self.ii.size
+        alone_i, alone_j, together, apart, single = (
+            products[:, :m],
+            products[:, m : 2 * m],
+            products[:, 2 * m : 3 * m],
+            products[:, 3 * m : 4 * m],
+            products[:, 4 * m :],
+        )
+
+        ci, cj = self.cos_t[self.ii], self.cos_t[self.jj]
+        si, sj = self.sin_t[self.ii], self.sin_t[self.jj]
+        phase = 2.0 * gammas[:, None] * self.weights
+        cos_w, sin_w = np.cos(phase), np.sin(phase)
+        # X_i Z_j and Z_i X_j: coherence of one qubit weighted by the other's spin
+        xz = si * alone_i * (cj * cos_w - 1j * sin_w)
+        zx = sj * alone_j * (ci * cos_w - 1j * sin_w)
+        # the two coherences of the pair: |00><11| and |01><10|
+        both = 0.5 * si * sj * together
+        swap = 0.5 * si * sj * apart
+
+        tensors = np.empty((gammas.size, m, 3, 3))
+        tensors[..., 0, 0] = both.real + swap.real
+        tensors[..., 0, 1] = swap.imag - both.imag
+        tensors[..., 1, 0] = -both.imag - swap.imag
+        tensors[..., 1, 1] = swap.real - both.real
+        tensors[..., 0, 2] = xz.real
+        tensors[..., 1, 2] = -xz.imag
+        tensors[..., 2, 0] = zx.real
+        tensors[..., 2, 1] = -zx.imag
+        tensors[..., 2, 2] = ci * cj
+        bloch = np.stack(
+            [
+                self.sin_t * single.real,
+                -self.sin_t * single.imag,
+                np.broadcast_to(self.cos_t, single.shape),
+            ],
+            axis=-1,
+        )
+        return tensors, bloch
+
+    def _layers(self, beta, gamma):
+        shape = np.broadcast_shapes(np.shape(beta), np.shape(gamma))
+        betas = np.ravel(np.asarray(beta, dtype=float))
+        gammas = np.ravel(np.asarray(gamma, dtype=float))
+        if betas.size * gammas.size != int(np.prod(shape)):
+            raise ValueError("beta and gamma must be scalars or an outer grid")
+        return shape, self._mixer_axes(betas), *self._cost_layer(gammas)
+
+    def correlators(self, beta, gamma) -> np.ndarray:
+        """<Z_i Z_j> of every pair."""
+        shape, axes, tensors, _ = self._layers(beta, gamma)
+        zz = np.einsum("bma,gmac,bmc->bgm", axes[:, self.ii], tensors, axes[:, self.jj])
+        return zz.reshape(shape + (self.ii.size,))
+
+    def magnetizations(self, beta, gamma) -> np.ndarray:
+        """<Z_i> of every qubit."""
+        shape, axes, _, bloch = self._layers(beta, gamma)
+        return np.einsum("bna,gna->bgn", axes, bloch).reshape(shape + (self.n,))
+
+    def energy(self, beta, gamma):
+        """Energy expectation, from the correlators of the pairs, which must
+        list every coupling of the model once (the default pairs do)."""
+        shape, axes, tensors, bloch = self._layers(beta, gamma)
+        count = axes.shape[0]
+        outer = axes[:, self.ii, :, None] * axes[:, self.jj, None, :] * self.weights[:, None, None]
+        local = axes * self.fields[:, None]
+        energies = (
+            self.offset
+            + outer.reshape(count, -1) @ tensors.reshape(tensors.shape[0], -1).T
+            + local.reshape(count, -1) @ bloch.reshape(bloch.shape[0], -1).T
+        )
+        return energies.reshape(shape) if shape else float(energies[0, 0])
 
 
 def depth1_edge_correlators(
@@ -388,83 +547,11 @@ def depth1_edge_correlators(
 ) -> np.ndarray:
     """ZZ correlators of the depth-one trial state for a batch of pairs.
 
-    Works in the two-qubit reduced density matrix of each pair: the diagonal
-    cost evolution factorizes into local phases on the pair, a dephasing
-    contribution from every third qubit (a classical mixture weighted by that
-    qubit's one-probability), and the pair's own coupling phase; the mixer
-    then acts as a 4x4 unitary. Cost is O(n) per pair. ``pairs`` is an
-    (m, 2) integer array; ``c_star`` may be None for the standard family.
+    ``pairs`` is an (m, 2) integer array, possibly empty; ``c_star`` may be
+    None for the standard family. See ``Depth1Evaluator``.
     """
-    n = g.n
-    kind, clamped = _mixer_probabilities(n, mixer_kind, c_star, epsilon)
-    theta = WarmStartAngles.from_probabilities(clamped, epsilon).theta
-
-    pairs = np.asarray(pairs, dtype=int)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("pairs must be an (m, 2) array")
-    ii, jj = pairs[:, 0], pairs[:, 1]
-    if np.any(ii == jj):
-        raise ValueError("pair indices must differ")
-    if np.any(pairs < 0) or np.any(pairs >= n):
-        raise ValueError("pair index out of range")
-
-    weights = g.weight_matrix()
-    w_ij = weights[ii, jj]
-    rows = weights.sum(axis=1)
-
-    # Local phases from all couplings of i (resp. j) to third qubits,
-    # aggregated because the diagonal gates commute.
-    phi_i = gamma * (rows[ii] - w_ij)
-    phi_j = gamma * (rows[jj] - w_ij)
-    half = theta / 2.0
-    a_i0 = np.cos(half[ii]).astype(complex)
-    a_i1 = np.sin(half[ii]) * np.exp(1j * phi_i)
-    a_j0 = np.cos(half[jj]).astype(complex)
-    a_j1 = np.sin(half[jj]) * np.exp(1j * phi_j)
-    psi = np.stack([a_i0 * a_j0, a_i0 * a_j1, a_i1 * a_j0, a_i1 * a_j1], axis=1)
-    rho = psi[:, :, None] * psi.conj()[:, None, :]
-
-    # Each third qubit k contributes a mixture of identity and the diagonal
-    # two-qubit phase it imprints on the pair, weighted by its probabilities.
-    ones = np.ones(pairs.shape[0], dtype=complex)
-    for k in range(n):
-        mask = (ii != k) & (jj != k)
-        if not np.any(mask):
-            continue
-        w_ik = weights[ii[mask], k]
-        w_jk = weights[jj[mask], k]
-        if not (np.any(w_ik) or np.any(w_jk)):
-            continue
-        pk = clamped[k]
-        u = np.stack(
-            [
-                np.ones(w_ik.size, dtype=complex),
-                np.exp(-2j * gamma * w_jk),
-                np.exp(-2j * gamma * w_ik),
-                np.exp(-2j * gamma * (w_ik + w_jk)),
-            ],
-            axis=1,
-        )
-        factor = (1.0 - pk) + pk * (u[:, :, None] * u.conj()[:, None, :])
-        rho[mask] = rho[mask] * factor
-
-    # Phase from the pair's own coupling.
-    u_ij = np.stack(
-        [
-            ones,
-            np.exp(1j * gamma * w_ij),
-            np.exp(1j * gamma * w_ij),
-            ones,
-        ],
-        axis=1,
-    )
-    rho = rho * (u_ij[:, :, None] * u_ij.conj()[:, None, :])
-
-    # Mixer as a 4x4 conjugation, then read off <Z Z>.
-    node_mixers = _mixer_stack(kind, theta, beta)
-    u4 = np.einsum("eab,ecd->eacbd", node_mixers[ii], node_mixers[jj]).reshape(-1, 4, 4)
-    rho = u4 @ rho @ np.conj(np.transpose(u4, (0, 2, 1)))
-    return np.real(rho[:, 0, 0] - rho[:, 1, 1] - rho[:, 2, 2] + rho[:, 3, 3])
+    evaluator = Depth1Evaluator(maxcut_to_ising(g), mixer_kind, c_star, epsilon, pairs)
+    return evaluator.correlators(beta, gamma)
 
 
 def depth1_correlator(
@@ -477,7 +564,7 @@ def depth1_correlator(
     j: int,
     mixer_kind: str,
 ) -> float:
-    """<Z_i Z_j> of the depth-one trial state, via the reduced-density path."""
+    """<Z_i Z_j> of the depth-one trial state, via ``Depth1Evaluator``."""
     if i == j:
         raise ValueError("indices must differ")
     pair = np.array([[min(i, j), max(i, j)]])

@@ -8,7 +8,7 @@ import numpy as np
 
 from .problems import IsingModel
 from .seeding import derive_seed
-from .simulator import Circuit, QaoaParams, StateVector, index_of_bits
+from .simulator import Circuit, Depth1Evaluator, QaoaParams, StateVector, index_of_bits
 
 
 @dataclass
@@ -159,37 +159,46 @@ def default_depth1_grid() -> GridSpec:
 
 
 def grid_search(objective, spec: GridSpec):
-    """Exhaustive search over the grid; ties break toward smaller (beta, gamma)."""
-    best = None
-    best_value = np.inf
-    for beta in spec.beta_axis():
-        for gamma in spec.gamma_axis():
-            value = float(objective(beta, gamma))
-            if value < best_value:
-                best_value = value
-                best = (float(beta), float(gamma))
-    return best
+    """Exhaustive search over the grid in one call of ``objective``.
+
+    ``objective(beta, gamma)`` receives the beta axis as a column and the
+    gamma axis as a row and returns the (beta, gamma) grid of values (a
+    scalar broadcasts). The first minimum in (beta, gamma) order wins, so
+    ties break toward smaller (beta, gamma), but only between exactly equal
+    floats: points that tie mathematically, such as the standard mixer's
+    symmetric (beta, gamma) images, are decided by rounding. NaN values are
+    skipped.
+    """
+    betas, gammas = spec.beta_axis(), spec.gamma_axis()
+    values = np.broadcast_to(
+        np.asarray(objective(betas[:, None], gammas[None, :]), dtype=float),
+        (betas.size, gammas.size),
+    )
+    b, g = np.unravel_index(np.nanargmin(values), values.shape)
+    return float(betas[b]), float(gammas[g])
 
 
 def grid_refine(
-    objective, p: int, grid: GridSpec | None = None, cfg: OptimizerConfig | None = None
+    depth1,
+    objective,
+    p: int,
+    grid: GridSpec | None = None,
+    cfg: OptimizerConfig | None = None,
 ) -> MinimizeResult:
     """Grid-search (beta_1, gamma_1) with higher layers zeroed, then refine.
 
-    ``objective`` takes the concatenated (betas, gammas) vector of length
-    2p; the grid defaults to ``default_depth1_grid``. Returns the
-    ``MinimizeResult`` of the local search started at the best grid point.
+    ``depth1(beta, gamma)`` is the batched depth-one objective that
+    ``grid_search`` calls once, for example ``Depth1Evaluator.energy``;
+    zeroed layers 2..p are the identity, so it equals ``objective`` on the
+    grid. ``objective`` takes the concatenated (betas, gammas) vector of
+    length 2p. The grid defaults to ``default_depth1_grid``. Returns the
+    ``MinimizeResult`` of the local search started at the best grid point;
+    its ``evals`` leave out the grid points.
     """
-
-    def padded(beta, gamma):
-        x = np.zeros(2 * p)
-        x[0], x[p] = beta, gamma
-        return x
-
-    point = grid_search(
-        lambda beta, gamma: objective(padded(beta, gamma)), grid or default_depth1_grid()
-    )
-    return minimize(objective, padded(*point), cfg)
+    beta, gamma = grid_search(depth1, grid or default_depth1_grid())
+    x0 = np.zeros(2 * p)
+    x0[0], x0[p] = beta, gamma
+    return minimize(objective, x0, cfg)
 
 
 @dataclass
@@ -236,7 +245,9 @@ def run_qaoa(
     Seeding modes:
 
     * ``"grid"`` -- ``grid_refine`` over ``grid`` (default
-      ``default_depth1_grid``) at full depth;
+      ``default_depth1_grid``): the grid is evaluated at depth one by
+      ``Depth1Evaluator`` and counted in ``evals``, then all 2p
+      parameters are refined on the statevector;
     * ``("random", k)`` -- best of k local searches from uniform random
       starts (beta in [0, pi), gamma in [0, 2 pi)), seeded deterministically;
     * ``("explicit", x0)`` -- single local search from the given
@@ -254,7 +265,10 @@ def run_qaoa(
 
     cfg = cfg or OptimizerConfig()
     if seeding == "grid":
-        result = grid_refine(objective, p, grid, cfg)
+        grid = grid or default_depth1_grid()
+        depth1 = Depth1Evaluator(ising, mixer_kind, c_star, epsilon)
+        result = grid_refine(depth1.energy, objective, p, grid, cfg)
+        evals += grid.beta_points * grid.gamma_points
     elif isinstance(seeding, tuple) and seeding[0] == "random":
         k = int(seeding[1])
         if k < 1:
