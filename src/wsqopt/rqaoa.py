@@ -193,9 +193,11 @@ def _optimize_depth1(g, c_star, epsilon, mixer_kind, cfg: RqaoaConfig):
         beta, gamma = float(cfg.seeding[1]), float(cfg.seeding[2])
         return beta, gamma
     depth1 = Depth1Evaluator(maxcut_to_ising(g), mixer_kind, c_star, epsilon)
+    # depth1_energy on the grid's evaluator: its offset is -sum(w) / 2 and its
+    # pair weights are the couplings w / 2 of the graph's edges, in edge order
     result = grid_refine(
         depth1.energy,
-        lambda x: depth1_energy(g, c_star, epsilon, x[0], x[1], mixer_kind),
+        lambda x: float(depth1.offset + depth1.weights @ depth1.correlators(x[0], x[1])),
         1,
         cfg.grid,
     )

@@ -23,7 +23,7 @@ as a global phase.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,13 @@ def max_qubits() -> int:
     value = os.environ.get(MAX_QUBITS_ENV)
     if value is None:
         return DEFAULT_MAX_QUBITS
-    return int(value)
+    try:
+        cap = int(value)
+    except ValueError:
+        raise ValueError(f"{MAX_QUBITS_ENV}={value!r} is not an integer") from None
+    if cap < 1:
+        raise ValueError(f"{MAX_QUBITS_ENV}={value!r} must be at least 1")
+    return cap
 
 
 def _check_qubits(n: int):
@@ -122,10 +128,16 @@ class WarmStartAngles:
 
 @dataclass
 class MixerSpec:
-    """Mixer family plus the angles the warm families are built from."""
+    """Mixer family plus the angles the warm families are built from.
+
+    The warm families' per-qubit Y rotations do not depend on beta, so they
+    are stacked once here as the (n, 2, 2) arrays that ``unitaries`` puts on
+    either side of RZ(-2 beta).
+    """
 
     kind: str
     angles: WarmStartAngles | None = None
+    _rotations: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = self.kind.lower()
@@ -134,6 +146,21 @@ class MixerSpec:
         if kind != STANDARD_X and self.angles is None:
             raise ValueError(f"mixer kind {kind!r} requires angles")
         self.kind = kind
+        if kind != STANDARD_X:
+            ry = np.array([_ry(theta) for theta in self.angles.theta])
+            ry_neg = np.array([_ry(-theta) for theta in self.angles.theta])
+            self._rotations = (ry, ry_neg) if kind == WARM_START else (ry_neg, ry)
+
+    def unitaries(self, beta: float, n: int) -> np.ndarray:
+        """Per-qubit mixer unitaries of one layer, shape (n, 2, 2).
+
+        Entry i equals ``mixer_unitary(kind, theta_i, beta)`` bit for bit:
+        the stacked products multiply the same 2x2 factors in the same order.
+        """
+        if self.kind == STANDARD_X:
+            return np.broadcast_to(mixer_unitary(STANDARD_X, 0.0, beta), (n, 2, 2))
+        rot_in, rot_out = self._rotations
+        return (rot_in @ _rz(-2.0 * beta)) @ rot_out
 
 
 @dataclass
@@ -262,17 +289,11 @@ def _apply_single_qubit(amplitudes: np.ndarray, n: int, qubit: int, u: np.ndarra
 
 def apply_mixer(s: StateVector, spec: MixerSpec, beta: float) -> StateVector:
     """Apply the per-qubit mixer unitary of the given family to every qubit."""
+    if spec.kind != STANDARD_X and spec.angles.n != s.n:
+        raise ValueError("angle count must match the state")
     amplitudes = s.amplitudes
-    if spec.kind == STANDARD_X:
-        u = mixer_unitary(STANDARD_X, 0.0, beta)
-        for qubit in range(s.n):
-            amplitudes = _apply_single_qubit(amplitudes, s.n, qubit, u)
-    else:
-        if spec.angles.n != s.n:
-            raise ValueError("angle count must match the state")
-        for qubit in range(s.n):
-            u = mixer_unitary(spec.kind, spec.angles.theta[qubit], beta)
-            amplitudes = _apply_single_qubit(amplitudes, s.n, qubit, u)
+    for qubit, u in enumerate(spec.unitaries(beta, s.n)):
+        amplitudes = _apply_single_qubit(amplitudes, s.n, qubit, u)
     return StateVector(amplitudes, s.n)
 
 

@@ -163,6 +163,16 @@ class TestSolve:
             "solve", "--method", "qaoa", "--instance", str(gpath), "--multistart", "1"
         ) == 3
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-4"])
+    def test_bad_max_qubits_exits_2_naming_the_variable(self, tmp_path, monkeypatch, capsys, value):
+        gpath = tmp_path / "g.txt"
+        write_graph(gpath, complete_graph(4, seed=1))
+        monkeypatch.setenv("WSQOPT_MAX_QUBITS", value)
+        assert run_cli(
+            "solve", "--method", "qaoa", "--instance", str(gpath), "--multistart", "1"
+        ) == 2
+        assert f"WSQOPT_MAX_QUBITS={value!r}" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_fig7_monotone_best_ratio(self, tmp_path):

@@ -26,15 +26,21 @@ SOLVE_FLAGS = ("--seed", "3", "--n-stop", "4", "--gw-samples", "4", "--gw-keep",
 
 
 def solve_all(workdir: Path) -> dict:
-    """Result of every method on an 8-node complete graph and a 4-asset portfolio."""
+    """Result of every method on an 8-node complete graph and a 4-asset portfolio,
+    and of a depth-two ws-qaoa at epsilon 0 on a degenerate 5-asset portfolio."""
     graph, portfolio = workdir / "graph.txt", workdir / "portfolio.json"
+    degenerate = workdir / "degenerate.json"
     assert main(["generate", "graph-complete", "--n", "8", "--seed", "5", "--out", str(graph)]) == 0
     assert main(["generate", "portfolio", "--n", "4", "--seed", "2", "--out", str(portfolio)]) == 0
+    # the relaxed optimum has exactly two fractional coordinates, so at
+    # epsilon 0 three qubits start in basis states
+    assert main(["generate", "portfolio", "--n", "5", "--seed", "3", "--out", str(degenerate)]) == 0
     results = {}
     # the graph's qaoa and ws-qaoa keep their default grid seeding
     for instance, methods, flags in (
         (graph, GRAPH_METHODS, SOLVE_FLAGS),
         (portfolio, PORTFOLIO_METHODS, SOLVE_FLAGS + ("--multistart", "2")),
+        (degenerate, ("ws-qaoa",), SOLVE_FLAGS + ("--p", "2", "--multistart", "10", "--epsilon", "0")),
     ):
         for method in methods:
             out = workdir / f"{instance.stem}-{method}.json"
