@@ -43,7 +43,7 @@ from .relaxation import (
     solve_qp,
 )
 from .rqaoa import METHOD_MODES, AmbiguousEliminationError, RqaoaConfig, run_rqaoa
-from .simulator import STANDARD_X, WARM_START, WARM_START_ROUNDED, StateTooLargeError
+from .simulator import STANDARD_X, WARM_START, WARM_START_ROUNDED, StateTooLargeError, energy_table
 from .variational import GridSpec, cut_probability, run_qaoa
 
 EXIT_OK = 0
@@ -125,7 +125,7 @@ def _solve_graph(args, graph) -> dict:
     if method == "brute":
         optimum = brute_force(maxcut_to_ising(graph))
         z, ground = optimum
-        result["value"] = -ground
+        result["value"] = 0.0 - ground
         result["assignment"] = z.tolist()
     elif method == "sdp":
         factor = solve_maxcut_sdp(graph, seed=seed)
@@ -191,7 +191,7 @@ def _solve_graph(args, graph) -> dict:
 
     if "value" in result and method != "sdp" and graph.n <= RATIO_MAX_NODES:
         _, ground = optimum or brute_force(maxcut_to_ising(graph))
-        max_cut = -ground
+        max_cut = 0.0 - ground  # -ground would write an edgeless graph's 0.0 as -0.0
         result["max_cut"] = max_cut
         result["ratio"] = experiments.cut_ratio(result["value"], max_cut)
         if method in METHOD_MODES:
@@ -249,7 +249,8 @@ def _solve_portfolio(args, instance) -> dict:
         if target is not None:
             result["p_target"] = qaoa.p_target
             result["min_energy"] = ground
-            result["ratio"] = qaoa.energy / ground if ground else 0.0
+            result["max_energy"] = float(energy_table(ising).max())
+            result["ratio"] = experiments.energy_ratio(qaoa.energy, ground, result["max_energy"])
     else:
         raise ConfigError(f"method {method!r} does not apply to portfolio instances")
     return result

@@ -20,7 +20,7 @@ from .problems import (
 from .relaxation import GramFactor, gw_best_cuts, gw_round, solve_maxcut_sdp, solve_qp
 from .rqaoa import METHOD_MODES, RqaoaConfig, run_rqaoa
 from .seeding import derive_seed
-from .simulator import STANDARD_X, WARM_START, WARM_START_ROUNDED
+from .simulator import STANDARD_X, WARM_START, WARM_START_ROUNDED, energy_table
 from .variational import run_qaoa
 
 RECIPES = ("fig2", "fig4", "fig6", "fig7", "prop2")
@@ -38,6 +38,17 @@ def cut_ratio(value: float, max_cut: float) -> float:
     return 1.0 if value >= -1e-12 else 0.0
 
 
+def energy_ratio(energy: float, min_energy: float, max_energy: float) -> float:
+    """(E_max - E) / (E_max - E0): 1 at the ground energy E0, 0 at the highest.
+
+    Unlike E / E0 it stays in [0, 1] for every energy of the model, whatever
+    the sign of E0 or how close it is to 0. A model whose energies are all
+    equal reads 1.
+    """
+    span = max_energy - min_energy
+    return (max_energy - energy) / span if span > 0.0 else 1.0
+
+
 def portfolio_comparison(
     n_instances: int = 25,
     n_assets: int = 6,
@@ -52,8 +63,9 @@ def portfolio_comparison(
     """Warm-started vs standard runs on simulated portfolio instances.
 
     One row per (instance, method, depth) with the optimized energy, the
-    exact ground energy, their ratio, the probability of sampling the exact
-    optimizer, and the overlap between relaxed and exact solutions.
+    exact lowest and highest energies, ``energy_ratio`` of the three, the
+    probability of sampling the exact optimizer, and the overlap between
+    relaxed and exact solutions.
     """
     rows = []
     for index in range(n_instances):
@@ -62,6 +74,7 @@ def portfolio_comparison(
         qubo = portfolio_qubo(instance)
         ising = qubo_to_ising(qubo)
         z_star, ground = brute_force(ising)
+        highest = float(energy_table(ising).max())
         target_bits = ((1 - z_star) // 2).astype(int)
         relaxed = solve_qp(qubo)
         overlap = float(target_bits @ relaxed.c_star / max(budget, 1))
@@ -87,7 +100,8 @@ def portfolio_comparison(
                         "p": p,
                         "energy": result.energy,
                         "min_energy": ground,
-                        "energy_ratio": result.energy / ground if ground else 0.0,
+                        "max_energy": highest,
+                        "energy_ratio": energy_ratio(result.energy, ground, highest),
                         "p_optimal": result.p_target,
                         "overlap": overlap,
                     }

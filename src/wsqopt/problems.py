@@ -317,16 +317,17 @@ def reduce_maxcut(g: WeightedGraph, elim: int, keep: int, sign: int):
     return WeightedGraph(n=g.n - 1, edges=edges), offset
 
 
-def brute_force(ising: IsingModel, limit: int = BRUTE_FORCE_MAX_VARS):
+def brute_force(ising: IsingModel):
     """Exhaustive minimization of an Ising model.
 
     Returns ``(z_star, e0)`` where ``e0`` is the exact minimum energy. Ties
     break toward the lexicographically smallest bitstring (x_0, ..., x_{n-1}).
-    Guarded at ``limit`` variables; evaluation is vectorized in chunks.
+    Guarded at ``BRUTE_FORCE_MAX_VARS`` variables; evaluation is vectorized
+    in chunks.
     """
     n = ising.n
-    if n > limit:
-        raise ValueError(f"brute force limited to {limit} variables, got {n}")
+    if n > BRUTE_FORCE_MAX_VARS:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_VARS} variables, got {n}")
     ju = ising.coupling_matrix()
     h = ising.fields
     size = 1 << n

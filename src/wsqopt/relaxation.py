@@ -164,6 +164,13 @@ def solve_qp(q: QuboProblem, tol: float = 1e-8, max_iters: int = 100_000) -> Rel
     )
 
 
+# coordinate ascent of the vector program: seeded random starts, sweeps per
+# start, and the first-order residual at which a start counts as converged
+SDP_RESTARTS = 3
+SDP_MAX_SWEEPS = 2000
+SDP_TOL = 1e-8
+
+
 def default_rank(n: int) -> int:
     """Factor rank ceil(sqrt(2n)): above it generic instances solve exactly."""
     return int(np.ceil(np.sqrt(2.0 * n)))
@@ -174,47 +181,39 @@ def _sdp_objective(weight_matrix: np.ndarray, vectors: np.ndarray) -> float:
     return float(0.25 * np.sum(weight_matrix * (1.0 - gram)))
 
 
-def solve_maxcut_sdp(
-    g: WeightedGraph,
-    rank: int | None = None,
-    tol: float = 1e-8,
-    max_iters: int = 2000,
-    seed: int = 0,
-    restarts: int = 3,
-) -> GramFactor:
+def solve_maxcut_sdp(g: WeightedGraph, seed: int = 0) -> GramFactor:
     """Maximize ``1/2 sum w_ij (1 - v_i . v_j)`` over unit vectors v_i.
 
-    Low-rank coordinate ascent: each row is replaced by the negative
-    normalized weighted sum of its neighbours' rows, cycling until the
-    first-order residual drops below ``tol``. Restarted from several seeded
-    random factors; the best iterate is returned, flagged ``converged=False``
-    if no restart reached stationarity.
+    Low-rank coordinate ascent at rank ``default_rank(n)``: each row is
+    replaced by the negative normalized weighted sum of its neighbours' rows,
+    cycling until the first-order residual drops below ``SDP_TOL``.
+    Restarted ``SDP_RESTARTS`` times from seeded random factors; the best
+    iterate is returned, flagged ``converged=False`` if no restart reached
+    stationarity within ``SDP_MAX_SWEEPS`` sweeps.
     """
     n = g.n
-    k = default_rank(n) if rank is None else int(rank)
-    if k < 1:
-        raise ValueError("rank must be at least 1")
+    k = default_rank(n)
     weights = g.weight_matrix()
 
     best_vectors = None
     best_objective = -np.inf
     best_converged = False
-    for restart in range(max(1, restarts)):
+    for restart in range(SDP_RESTARTS):
         rng = np.random.default_rng(derive_seed(seed, "sdp-restart", restart))
         vectors = rng.standard_normal((n, k))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         converged = False
-        for _ in range(max_iters):
+        for _ in range(SDP_MAX_SWEEPS):
             residual = 0.0
             for i in range(n):
                 pull = weights[i] @ vectors
                 norm = np.linalg.norm(pull)
-                if norm <= tol:
+                if norm <= SDP_TOL:
                     continue
                 target = -pull / norm
                 residual = max(residual, float(np.linalg.norm(vectors[i] - target)))
                 vectors[i] = target
-            if residual <= tol:
+            if residual <= SDP_TOL:
                 converged = True
                 break
         objective = _sdp_objective(weights, vectors)
@@ -248,24 +247,17 @@ def expected_cut_value(g: WeightedGraph, f: GramFactor) -> float:
     return float(total)
 
 
-def gw_best_cuts(
-    g: WeightedGraph,
-    n_samples: int,
-    keep: int,
-    seed: int = 0,
-    factor: GramFactor | None = None,
-) -> list[CutAssignment]:
+def gw_best_cuts(g: WeightedGraph, n_samples: int, keep: int, seed: int = 0) -> list[CutAssignment]:
     """Best unique cuts from repeated hyperplane rounding.
 
-    Draws ``n_samples`` roundings of the vector relaxation (solved here
-    unless ``factor`` is supplied), canonicalizes and deduplicates them, and
-    returns at most ``keep`` cuts ordered by cut value descending, ties
-    broken by lexicographic canonical form.
+    Solves the vector relaxation, draws ``n_samples`` roundings of it,
+    canonicalizes and deduplicates them, and returns at most ``keep`` cuts
+    ordered by cut value descending, ties broken by lexicographic canonical
+    form.
     """
     if not (n_samples >= keep >= 1):
         raise ValueError("need n_samples >= keep >= 1")
-    if factor is None:
-        factor = solve_maxcut_sdp(g, seed=derive_seed(seed, "sdp"))
+    factor = solve_maxcut_sdp(g, seed=derive_seed(seed, "sdp"))
     rng = np.random.default_rng(derive_seed(seed, "gw-round"))
     unique: dict = {}
     for _ in range(n_samples):

@@ -57,7 +57,6 @@ class RqaoaConfig:
     n_samples: int = 10
     keep: int = 5
     epsilon: float = 0.25
-    seeding: tuple = ("grid",)
     mode: str = "warm-start"
     grid: GridSpec | None = None
 
@@ -177,31 +176,15 @@ def depth1_energy(
     gamma: float,
     mixer_kind: str,
 ) -> float:
-    """Energy of the depth-one trial state from the edge correlators alone."""
-    offset = -0.5 * g.total_weight()
-    if g.m == 0:
-        return offset
-    pairs = np.array([(i, j) for i, j, _ in g.edges], dtype=int)
-    weights = np.array([w for _, _, w in g.edges])
-    corr = depth1_edge_correlators(g, c_star, epsilon, beta, gamma, pairs, mixer_kind)
-    return float(offset + 0.5 * weights @ corr)
+    """Energy of the depth-one trial state; see ``Depth1Evaluator.energy``."""
+    return Depth1Evaluator(maxcut_to_ising(g), mixer_kind, c_star, epsilon).energy(beta, gamma)
 
 
-def _optimize_depth1(g, c_star, epsilon, mixer_kind, cfg: RqaoaConfig):
-    """Grid-search then locally refine (beta_1, gamma_1) for one recursion level."""
-    if cfg.seeding and cfg.seeding[0] == "fixed":
-        beta, gamma = float(cfg.seeding[1]), float(cfg.seeding[2])
-        return beta, gamma
+def _level_correlations(g, c_star, epsilon, mixer_kind, grid) -> np.ndarray:
+    """Correlator matrix at the depth-one angles ``grid_refine`` finds for one level."""
     depth1 = Depth1Evaluator(maxcut_to_ising(g), mixer_kind, c_star, epsilon)
-    # depth1_energy on the grid's evaluator: its offset is -sum(w) / 2 and its
-    # pair weights are the couplings w / 2 of the graph's edges, in edge order
-    result = grid_refine(
-        depth1.energy,
-        lambda x: float(depth1.offset + depth1.weights @ depth1.correlators(x[0], x[1])),
-        1,
-        cfg.grid,
-    )
-    return float(result.x[0]), float(result.x[1])
+    beta, gamma = grid_refine(depth1.energy, None, 1, grid).x
+    return correlation_matrix_depth1(g, c_star, epsilon, beta, gamma, mixer_kind)
 
 
 def run_rqaoa(g: WeightedGraph, cfg: RqaoaConfig, seed: int = 0) -> RqaoaResult:
@@ -224,10 +207,7 @@ def run_rqaoa(g: WeightedGraph, cfg: RqaoaConfig, seed: int = 0) -> RqaoaResult:
     while current.n > cfg.n_stop and current.m > 0:
         gw_best_value = None
         if cfg.mode == "standard":
-            beta, gamma = _optimize_depth1(current, None, 0.5, STANDARD_X, cfg)
-            matrix = correlation_matrix_depth1(
-                current, None, 0.5, beta, gamma, STANDARD_X
-            )
+            matrix = _level_correlations(current, None, 0.5, STANDARD_X, cfg.grid)
         else:
             cuts = gw_best_cuts(
                 current,
@@ -239,18 +219,12 @@ def run_rqaoa(g: WeightedGraph, cfg: RqaoaConfig, seed: int = 0) -> RqaoaResult:
             if cfg.mode == "classical-gw":
                 matrix = correlation_matrix_from_cuts(cuts, current)
             else:
-                matrices = []
-                for cut in cuts:
-                    c_star = cut.bits().astype(float)
-                    beta, gamma = _optimize_depth1(
-                        current, c_star, cfg.epsilon, WARM_START_ROUNDED, cfg
+                matrix = aggregate_correlations(
+                    _level_correlations(
+                        current, cut.bits().astype(float), cfg.epsilon, WARM_START_ROUNDED, cfg.grid
                     )
-                    matrices.append(
-                        correlation_matrix_depth1(
-                            current, c_star, cfg.epsilon, beta, gamma, WARM_START_ROUNDED
-                        )
-                    )
-                matrix = aggregate_correlations(matrices)
+                    for cut in cuts
+                )
 
         reduced, record, offset = eliminate(current, matrix)
         keep_orig = node_map[record.kept]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -11,20 +11,24 @@ from .seeding import derive_seed
 from .simulator import Circuit, Depth1Evaluator, QaoaParams, StateVector, index_of_bits
 
 
+# Nelder-Mead stops once every vertex lies within X_TOLERANCE of the best
+# one and every value within F_TOLERANCE of its value
+X_TOLERANCE = 1e-6
+F_TOLERANCE = 1e-9
+
+
 @dataclass
 class OptimizerConfig:
-    """Budget and tolerances of the derivative-free local search."""
+    """Budget and first step of the derivative-free local search."""
 
     max_evals: int = 2000
-    x_tolerance: float = 1e-6
-    f_tolerance: float = 1e-9
     initial_simplex_scale: float = 0.1
 
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
-        if min(self.x_tolerance, self.f_tolerance, self.initial_simplex_scale) <= 0:
-            raise ValueError("tolerances and simplex scale must be positive")
+        if self.initial_simplex_scale <= 0:
+            raise ValueError("simplex scale must be positive")
 
 
 @dataclass
@@ -78,8 +82,8 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> MinimizeResul
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
         if (
-            np.max(np.abs(values[1:] - values[0])) <= cfg.f_tolerance
-            and np.max(np.abs(simplex[1:] - simplex[0])) <= cfg.x_tolerance
+            np.max(np.abs(values[1:] - values[0])) <= F_TOLERANCE
+            and np.max(np.abs(simplex[1:] - simplex[0])) <= X_TOLERANCE
         ):
             reason = "tolerance"
             break
@@ -187,18 +191,25 @@ def grid_refine(
 ) -> MinimizeResult:
     """Grid-search (beta_1, gamma_1) with higher layers zeroed, then refine.
 
-    ``depth1(beta, gamma)`` is the batched depth-one objective that
-    ``grid_search`` calls once, for example ``Depth1Evaluator.energy``;
-    zeroed layers 2..p are the identity, so it equals ``objective`` on the
-    grid. ``objective`` takes the concatenated (betas, gammas) vector of
-    length 2p. The grid defaults to ``default_depth1_grid``. Returns the
-    ``MinimizeResult`` of the local search started at the best grid point;
-    its ``evals`` leave out the grid points.
+    ``depth1(beta, gamma)`` is the depth-one energy,
+    ``Depth1Evaluator.energy``: ``grid_search`` calls it once on the whole
+    grid, and at p = 1 the Nelder-Mead refinement calls it point by point,
+    so ``objective`` is not used there (pass None). At p >= 2 the
+    refinement runs on ``objective``, which takes the concatenated (betas,
+    gammas) vector of length 2p; zeroed layers 2..p are the identity, so it
+    equals ``depth1`` on the grid. The grid defaults to
+    ``default_depth1_grid``. Returns the ``MinimizeResult`` of the local
+    search started at the best grid point, its ``evals`` counting the grid
+    points too.
     """
-    beta, gamma = grid_search(depth1, grid or default_depth1_grid())
+    grid = grid or default_depth1_grid()
+    beta, gamma = grid_search(depth1, grid)
+    if p == 1:
+        objective = lambda x: depth1(x[0], x[1])
     x0 = np.zeros(2 * p)
     x0[0], x0[p] = beta, gamma
-    return minimize(objective, x0, cfg)
+    result = minimize(objective, x0, cfg)
+    return replace(result, evals=result.evals + grid.beta_points * grid.gamma_points)
 
 
 @dataclass
@@ -246,41 +257,40 @@ def run_qaoa(
 
     * ``"grid"`` -- ``grid_refine`` over ``grid`` (default
       ``default_depth1_grid``): the grid is evaluated at depth one by
-      ``Depth1Evaluator`` and counted in ``evals``, then all 2p
-      parameters are refined on the statevector;
+      ``Depth1Evaluator``; at p = 1 the refinement runs on the same
+      evaluator, at p >= 2 all 2p parameters are refined on the statevector;
     * ``("random", k)`` -- best of k local searches from uniform random
       starts (beta in [0, pi), gamma in [0, 2 pi)), seeded deterministically;
     * ``("explicit", x0)`` -- single local search from the given
       concatenated (betas, gammas) vector.
 
-    The reported energy is recomputed from the returned state.
+    ``evals`` counts every energy evaluated: grid points, then local-search
+    evaluations summed over the starts. The reported energy, ``p_target``
+    and the state come from one statevector simulation at the returned
+    parameters.
     """
     circuit = Circuit(ising, mixer_kind, c_star, epsilon)
-    evals = 0
 
     def objective(x: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
         return circuit.energy(circuit.state(QaoaParams(betas=x[:p], gammas=x[p:])))
 
     cfg = cfg or OptimizerConfig()
     if seeding == "grid":
-        grid = grid or default_depth1_grid()
         depth1 = Depth1Evaluator(ising, mixer_kind, c_star, epsilon)
         result = grid_refine(depth1.energy, objective, p, grid, cfg)
-        evals += grid.beta_points * grid.gamma_points
     elif isinstance(seeding, tuple) and seeding[0] == "random":
         k = int(seeding[1])
         if k < 1:
             raise ValueError("need at least one start")
         rng = np.random.default_rng(derive_seed(seed, "qaoa-multistart"))
-        result = None
-        for start in range(k):
-            betas0 = rng.uniform(0.0, np.pi, size=p)
-            gammas0 = rng.uniform(0.0, 2.0 * np.pi, size=p)
-            candidate = minimize(objective, np.concatenate([betas0, gammas0]), cfg)
-            if result is None or candidate.fun < result.fun:
-                result = candidate
+        starts = [
+            np.concatenate([rng.uniform(0.0, np.pi, size=p), rng.uniform(0.0, 2.0 * np.pi, size=p)])
+            for _ in range(k)
+        ]
+        candidates = [minimize(objective, x0, cfg) for x0 in starts]
+        # min keeps the first of equal values, the earliest start
+        best = min(candidates, key=lambda candidate: candidate.fun)
+        result = replace(best, evals=sum(candidate.evals for candidate in candidates))
     elif isinstance(seeding, tuple) and seeding[0] == "explicit":
         x0 = np.asarray(seeding[1], dtype=float)
         if x0.size != 2 * p:
@@ -292,6 +302,4 @@ def run_qaoa(
     params = QaoaParams(betas=result.x[:p], gammas=result.x[p:])
     state = circuit.state(params)
     p_target = None if target is None else probability_of(state, target)
-    return QaoaResult(
-        params=params, energy=circuit.energy(state), state=state, evals=evals, p_target=p_target
-    )
+    return QaoaResult(params, circuit.energy(state), state, result.evals, p_target)

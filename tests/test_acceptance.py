@@ -3,7 +3,7 @@
 Each test prints a single PASS line with its headline statistic once its
 assertions hold; run with ``pytest tests/test_acceptance.py -v -s``. The
 statistical gates use fixed master seeds so every run is reproducible.
-Expect the full module to take on the order of fifteen minutes.
+Expect the full module to take about four to five minutes.
 """
 
 import numpy as np

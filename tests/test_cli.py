@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,17 @@ def stripped_json(path):
     payload = json.loads(path.read_text())
     payload.pop("wall_time_s", None)
     return payload
+
+
+def negative_zeros(value, path=""):
+    """Paths of the -0.0 floats in a parsed JSON value."""
+    if isinstance(value, dict):
+        return [z for key, item in value.items() for z in negative_zeros(item, f"{path}/{key}")]
+    if isinstance(value, list):
+        return [z for i, item in enumerate(value) for z in negative_zeros(item, f"{path}[{i}]")]
+    if isinstance(value, float) and value == 0.0 and math.copysign(1.0, value) < 0:
+        return [path]
+    return []
 
 
 class TestGenerate:
@@ -162,6 +174,35 @@ class TestSolve:
         assert run_cli(
             "solve", "--method", "qaoa", "--instance", str(gpath), "--multistart", "1"
         ) == 3
+
+    @pytest.mark.parametrize(
+        "method", ["sdp", "gw", "qaoa", "ws-qaoa", "rqaoa", "ws-rqaoa", "classical-gw", "brute"]
+    )
+    def test_edgeless_graph_writes_no_negative_zero(self, tmp_path, method):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("3 0\n")
+        out = tmp_path / "r.json"
+        assert run_cli("solve", "--method", method, "--instance", str(gpath), "--out", str(out)) == 0
+        assert negative_zeros(json.loads(out.read_text())) == []
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("method", ["qaoa", "ws-qaoa"])
+    def test_portfolio_ratio_in_unit_interval_at_ground_energy_near_zero(self, tmp_path, seed, method):
+        from wsqopt.problems import brute_force, portfolio_qubo, qubo_to_ising
+
+        ppath = tmp_path / "p.json"
+        run_cli("generate", "portfolio", "--n", "4", "--seed", seed, "--out", str(ppath))
+        _, ground = brute_force(qubo_to_ising(portfolio_qubo(read_portfolio(ppath))))
+        # seed 0 has a ground energy of +4.2e-4, seed 1 of -7.6e-4
+        assert 0.0 < abs(ground) < 1e-3
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "solve", "--method", method, "--instance", str(ppath), "--multistart", "2",
+            "--out", str(out),
+        ) == 0
+        result = json.loads(out.read_text())
+        assert result["min_energy"] <= result["energy"] <= result["max_energy"]
+        assert 0.0 <= result["ratio"] <= 1.0
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-4"])
     def test_bad_max_qubits_exits_2_naming_the_variable(self, tmp_path, monkeypatch, capsys, value):

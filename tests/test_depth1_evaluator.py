@@ -128,6 +128,50 @@ def test_grid_seeding_at_depth_two_starts_from_depth_one_grid():
     assert result.evals == 7 * 9 + refine.evals
 
 
+@pytest.mark.parametrize("kind", MIXER_KINDS)
+def test_grid_seeding_at_depth_one_refines_on_the_evaluator(kind, monkeypatch):
+    """At p = 1 grid and refinement read Depth1Evaluator; the statevector is
+    simulated once, for the returned angles."""
+    ising = maxcut_to_ising(complete_graph(6, seed=13))
+    c_star = None if kind == STANDARD_X else np.array([0.0, 1.0, 0.3, 0.7, 1.0, 0.0])
+    spec = GridSpec(beta_range=(0.0, 3.0), gamma_range=(0.0, 6.0), beta_points=7, gamma_points=9)
+    states = []
+    original = Circuit.state
+
+    def counted(self, params):
+        states.append(params)
+        return original(self, params)
+
+    monkeypatch.setattr(Circuit, "state", counted)
+    result = run_qaoa(ising, kind, c_star, 0.25, p=1, seeding="grid", grid=spec)
+    assert len(states) == 1
+
+    depth1 = Depth1Evaluator(ising, kind, c_star, 0.25)
+    beta, gamma = grid_search(depth1.energy, spec)
+    refine = minimize(lambda x: depth1.energy(x[0], x[1]), [beta, gamma])
+    np.testing.assert_array_equal(result.params.betas, refine.x[:1])
+    np.testing.assert_array_equal(result.params.gammas, refine.x[1:])
+    assert result.evals == 7 * 9 + refine.evals
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ising=models(),
+    kind=st.sampled_from(MIXER_KINDS),
+    epsilon=st.sampled_from([0.0, 0.25]),
+    c_seed=st.integers(0, 2**16),
+)
+def test_depth_one_energy_is_the_evaluator_energy(ising, kind, epsilon, c_seed):
+    c_star = None if kind == STANDARD_X else np.random.default_rng(c_seed).uniform(0, 1, ising.n)
+    spec = GridSpec(beta_range=(0.0, 3.0), gamma_range=(0.0, 6.0), beta_points=5, gamma_points=6)
+    result = run_qaoa(
+        ising, kind, c_star, epsilon, p=1, seeding="grid", grid=spec, cfg=OptimizerConfig(max_evals=150)
+    )
+    depth1 = Depth1Evaluator(ising, kind, c_star, epsilon)
+    expected = depth1.energy(result.params.betas[0], result.params.gammas[0])
+    assert result.energy == pytest.approx(expected, abs=TOL)
+
+
 class TestEdgeInputs:
     def test_graph_without_edges(self):
         g = WeightedGraph(n=3, edges=[])

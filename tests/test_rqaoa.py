@@ -168,10 +168,7 @@ class TestRunRqaoa:
         from wsqopt.seeding import derive_seed
 
         g = complete_graph(8, seed=7)
-        cfg = RqaoaConfig(
-            n_stop=2, mode="warm-start", n_samples=6, keep=1, epsilon=0.0,
-            seeding=("fixed", 0.0, 0.0),
-        )
+        cfg = RqaoaConfig(n_stop=2, mode="warm-start", n_samples=6, keep=1, epsilon=0.0)
         result = run_rqaoa(g, cfg, seed=7)
         # the first-round presolve inside the run uses this derived seed
         best = gw_best_cuts(g, 6, 1, seed=derive_seed(7, "gw", 0))[0]
