@@ -77,10 +77,8 @@ from .simulator import (
 from .variational import (
     GridSpec,
     MinimizeResult,
-    OptimizerConfig,
     QaoaResult,
     cut_probability,
-    default_depth1_grid,
     grid_refine,
     grid_search,
     minimize,

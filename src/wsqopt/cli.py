@@ -74,12 +74,7 @@ def _parse_grid(text: str) -> GridSpec:
         beta_points, gamma_points = (int(part) for part in text.lower().split("x"))
     except ValueError as exc:
         raise ConfigError(f"--grid expects 'BxG', got {text!r}") from exc
-    return GridSpec(
-        beta_range=(0.0, np.pi * (beta_points - 1) / beta_points),
-        gamma_range=(0.0, 2.0 * np.pi * (gamma_points - 1) / gamma_points),
-        beta_points=beta_points,
-        gamma_points=gamma_points,
-    )
+    return GridSpec(beta_points, gamma_points)
 
 
 def _load_instance(path: str):
@@ -121,7 +116,7 @@ def _solve_graph(args, graph) -> dict:
     result: dict = {}
     trace_rows = None
     optimum = None  # (z, ground) of an exact solve that already ran
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = GridSpec() if args.grid is None else _parse_grid(args.grid)
     if method == "brute":
         optimum = brute_force(maxcut_to_ising(graph))
         z, ground = optimum
@@ -140,7 +135,7 @@ def _solve_graph(args, graph) -> dict:
         result["assignment"] = best.z.tolist()
     elif method in ("qaoa", "ws-qaoa"):
         ising = maxcut_to_ising(graph)
-        seeding = ("random", args.multistart) if args.multistart else "grid"
+        seeding = "grid" if args.multistart is None else ("random", args.multistart)
         if method == "qaoa":
             qaoa = run_qaoa(
                 ising, STANDARD_X, p=args.p, seeding=seeding, grid=grid, seed=seed
@@ -171,7 +166,7 @@ def _solve_graph(args, graph) -> dict:
             result["p_target"] = cut_probability(qaoa.state, optimum[0])
     elif method in METHOD_MODES:
         cfg = RqaoaConfig(
-            n_stop=args.n_stop if args.n_stop else max(1, graph.n // 2),
+            n_stop=max(1, graph.n // 2) if args.n_stop is None else args.n_stop,
             n_samples=args.gw_samples,
             keep=args.gw_keep,
             epsilon=args.epsilon,
@@ -220,7 +215,7 @@ def _solve_portfolio(args, instance) -> dict:
         result["assignment"] = (relaxed.c_star >= 0.5).astype(int).tolist()
         result["iterations"] = relaxed.iterations
     elif method in ("qaoa", "ws-qaoa"):
-        seeding = ("random", args.multistart) if args.multistart else ("random", 10)
+        seeding = ("random", 10 if args.multistart is None else args.multistart)
         target = None
         if instance.n <= RATIO_MAX_NODES:
             z_star, ground = brute_force(ising)
@@ -295,48 +290,53 @@ def _write_csv(path, rows):
             writer.writerow(row)
 
 
+def _default(value, default):
+    """A flag's value, or the recipe's default when the flag is not given."""
+    return default if value is None else value
+
+
 def cmd_experiment(args) -> int:
     seed = args.seed
     if args.recipe == "fig2":
         rows = experiments.portfolio_comparison(
-            n_instances=args.instances or 25,
-            n_assets=args.n or 6,
+            n_instances=_default(args.instances, 25),
+            n_assets=_default(args.n, 6),
             depth=args.p,
-            multistarts=args.multistart or 10,
-            epsilon=args.epsilon if args.epsilon is not None else 0.0,
+            multistarts=_default(args.multistart, 10),
+            epsilon=_default(args.epsilon, 0.0),
             seed=seed,
         )
     elif args.recipe == "fig4":
         rows = experiments.epsilon_sweep(
-            n_graphs=args.instances or 5,
-            n=args.n or 12,
+            n_graphs=_default(args.instances, 5),
+            n=_default(args.n, 12),
             n_samples=args.gw_samples,
             keep=args.gw_keep,
             seed=seed,
         )
     elif args.recipe == "fig6":
         methods = ("gw", "rqaoa", "ws-rqaoa", "classical-gw")
-        if args.mode:
+        if args.mode is not None:
             methods = tuple(args.mode.split(","))
         rows = experiments.recursive_comparison(
-            n_graphs=args.instances or 30,
-            n=args.n or 12,
+            n_graphs=_default(args.instances, 30),
+            n=_default(args.n, 12),
             n_stop=args.n_stop,
             n_samples=args.gw_samples,
             keep=args.gw_keep,
-            epsilon=args.epsilon if args.epsilon is not None else 0.25,
+            epsilon=_default(args.epsilon, 0.25),
             seed=seed,
             methods=methods,
         )
     elif args.recipe == "fig7":
         rows = experiments.rounding_count_study(
-            n_graphs=args.instances or 20,
-            n=args.n or 12,
+            n_graphs=_default(args.instances, 20),
+            n=_default(args.n, 12),
             seed=seed,
         )
     elif args.recipe == "prop2":
         rows = experiments.arcsin_law_check(
-            n_pairs=args.instances or 10,
+            n_pairs=_default(args.instances, 10),
             trajectories=args.trajectories,
             dt=args.dt,
             seed=seed,

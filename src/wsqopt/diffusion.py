@@ -20,13 +20,17 @@ from scipy.special import ndtri
 
 from .relaxation import GramFactor
 
+# a coordinate freezes once it is within ABSORB_TOL of -1 or +1
+ABSORB_TOL = 1e-4
+# grid points of the speed tables that ``tabulated`` builds
+TABLE_POINTS = 1 << 20
+
 
 @dataclass
 class DiffusionConfig:
     """Euler-Maruyama discretization and sampling controls."""
 
     dt: float = 1e-3
-    absorb_tol: float = 1e-4
     max_steps: int = 50_000
     trajectories: int = 20_000
     seed: int = 0
@@ -34,8 +38,6 @@ class DiffusionConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not (0.0 < self.absorb_tol < 1.0):
-            raise ValueError("absorb_tol must lie in (0, 1)")
         if self.trajectories < 1:
             raise ValueError("need at least one trajectory")
         if self.max_steps < 1:
@@ -74,7 +76,7 @@ def poly_speed(alpha: float = 1.0):
     return speed
 
 
-def tabulated(speed, points: int = 1 << 20):
+def tabulated(speed):
     """Linear-interpolation table of a speed function on [-1, 1].
 
     Table error is around 1e-8 for the speeds above, far below the
@@ -82,14 +84,14 @@ def tabulated(speed, points: int = 1 << 20):
     exact quantile formula. The grid is uniform, so lookups index directly
     instead of searching.
     """
-    grid = np.linspace(-1.0, 1.0, points)
+    grid = np.linspace(-1.0, 1.0, TABLE_POINTS)
     values = np.asarray(speed(grid), dtype=float)
-    inv_h = (points - 1) / 2.0
+    inv_h = (TABLE_POINTS - 1) / 2.0
 
     def fast(s):
         t = (np.asarray(s, dtype=float) + 1.0) * inv_h
         idx = t.astype(np.int64)
-        np.clip(idx, 0, points - 2, out=idx)
+        np.clip(idx, 0, TABLE_POINTS - 2, out=idx)
         frac = t - idx
         return values[idx] * (1.0 - frac) + values[idx + 1] * frac
 
@@ -117,7 +119,7 @@ def simulate_signs(f: GramFactor, speed, cfg: DiffusionConfig) -> SignSamples:
 
     Per trajectory and step one shared increment dB ~ Normal(0, dt I_k)
     drives all coordinates; a coordinate freezes once it is within
-    ``absorb_tol`` of a boundary and its sign is recorded. Coordinates still
+    ``ABSORB_TOL`` of a boundary and its sign is recorded. Coordinates still
     in the interior after ``max_steps`` contribute sign(W) (sign of zero is
     +1) and are flagged as truncated. Finished trajectories are dropped from
     the working set, so early absorption saves work without changing the
@@ -135,7 +137,7 @@ def simulate_signs(f: GramFactor, speed, cfg: DiffusionConfig) -> SignSamples:
     positions = np.zeros((total, n_coords))
     frozen = np.zeros((total, n_coords), dtype=bool)
     scale = np.sqrt(cfg.dt)
-    threshold = 1.0 - cfg.absorb_tol
+    threshold = 1.0 - ABSORB_TOL
 
     for _ in range(cfg.max_steps):
         if ids.size == 0:

@@ -57,14 +57,28 @@ def write_portfolio(path, p: PortfolioInstance, seed: int | None = None):
     write_json(path, payload)
 
 
+def _portfolio_field(payload: dict, key: str, convert):
+    """One converted field; a missing, null or ill-typed one is a ValueError."""
+    value = payload.get(key)
+    if value is None:
+        raise ValueError(f"portfolio field {key!r} is missing or null")
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"portfolio field {key!r}: {exc}") from exc
+
+
 def read_portfolio(path) -> PortfolioInstance:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError("a portfolio file holds one JSON object")
+    matrix = lambda value: np.asarray(value, dtype=float)
     return PortfolioInstance(
-        sigma=np.asarray(payload["sigma"], dtype=float),
-        mu=np.asarray(payload["mu"], dtype=float),
-        q=float(payload["q"]),
-        budget=int(payload["B"]),
-        penalty=float(payload["lambda"]),
+        sigma=_portfolio_field(payload, "sigma", matrix),
+        mu=_portfolio_field(payload, "mu", matrix),
+        q=_portfolio_field(payload, "q", float),
+        budget=_portfolio_field(payload, "B", int),
+        penalty=_portfolio_field(payload, "lambda", float),
     )
 
 

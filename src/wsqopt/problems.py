@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-9
 BRUTE_FORCE_MAX_VARS = 30
 

@@ -15,10 +15,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .problems import CutAssignment, QuboProblem, WeightedGraph, cut_value
+from .problems import PSD_TOL, CutAssignment, QuboProblem, WeightedGraph, cut_value
 from .seeding import derive_seed
 
-PSD_TOL = 1e-9
+# projected gradient of the box QP stops once the KKT residual is at most
+# QP_TOL, and raises IterationLimitError after QP_MAX_ITERS iterations
+QP_TOL = 1e-8
+QP_MAX_ITERS = 100_000
 
 
 class NotConvexError(ValueError):
@@ -86,10 +89,10 @@ def _kkt_residual(c: np.ndarray, grad: np.ndarray) -> float:
     return float(res.max()) if res.size else 0.0
 
 
-def _active_set_polish(sigma, mu, c, tol):
+def _active_set_polish(sigma, mu, c):
     """Exact solve on the free coordinates suggested by the current iterate.
 
-    Coordinates within ``tol``-ish of a bound stay pinned; the interior block
+    Coordinates within 1e-9 of a bound stay pinned; the interior block
     solves ``2 sigma_FF x = -(mu_F + 2 sigma_FB c_B)`` in the least-squares
     sense. Returns the polished point when it is box-feasible and passes the
     KKT check, else None.
@@ -106,19 +109,19 @@ def _active_set_polish(sigma, mu, c, tol):
             return None
         polished[free] = np.clip(solution, 0.0, 1.0)
     grad = 2.0 * sigma @ polished + mu
-    if _kkt_residual(polished, grad) <= tol:
+    if _kkt_residual(polished, grad) <= QP_TOL:
         return polished
     return None
 
 
-def solve_qp(q: QuboProblem, tol: float = 1e-8, max_iters: int = 100_000) -> RelaxedSolution:
+def solve_qp(q: QuboProblem) -> RelaxedSolution:
     """Minimize the QUBO objective over the box [0, 1]^n.
 
     Requires a positive semidefinite quadratic form (within 1e-9). Uses
     projected gradient with fixed step 1/L plus Nesterov momentum and
     objective-increase restarts; once the boundary set settles, an exact
     solve on the free coordinates finishes the job. Terminates when the KKT
-    residual drops below ``tol``.
+    residual drops to ``QP_TOL``.
     """
     sigma, mu = q.sigma, q.mu
     eigs = np.linalg.eigvalsh(sigma)
@@ -141,7 +144,7 @@ def solve_qp(q: QuboProblem, tol: float = 1e-8, max_iters: int = 100_000) -> Rel
     y = c.copy()
     t = 1.0
     f_prev = q.objective(c)
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, QP_MAX_ITERS + 1):
         c_next = np.clip(y - step * grad(y), 0.0, 1.0)
         f_next = q.objective(c_next)
         if f_next > f_prev:
@@ -153,14 +156,14 @@ def solve_qp(q: QuboProblem, tol: float = 1e-8, max_iters: int = 100_000) -> Rel
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = c_next + ((t - 1.0) / t_next) * (c_next - c)
         c, t, f_prev = c_next, t_next, f_next
-        if _kkt_residual(c, grad(c)) <= tol:
+        if _kkt_residual(c, grad(c)) <= QP_TOL:
             return finish(c, iteration)
         if iteration % 200 == 0:
-            polished = _active_set_polish(sigma, mu, c, tol)
+            polished = _active_set_polish(sigma, mu, c)
             if polished is not None:
                 return finish(polished, iteration)
     raise IterationLimitError(
-        f"projected gradient did not reach tol={tol} in {max_iters} iterations"
+        f"projected gradient did not reach tol={QP_TOL} in {QP_MAX_ITERS} iterations"
     )
 
 

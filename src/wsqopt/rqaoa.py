@@ -58,7 +58,7 @@ class RqaoaConfig:
     keep: int = 5
     epsilon: float = 0.25
     mode: str = "warm-start"
-    grid: GridSpec | None = None
+    grid: GridSpec = GridSpec()
 
     def __post_init__(self):
         if self.n_stop < 1:
@@ -140,13 +140,12 @@ def aggregate_correlations(matrices) -> np.ndarray:
     return stack.mean(axis=0)
 
 
-def eliminate(g: WeightedGraph, matrix: np.ndarray, allow_zero: bool = False):
+def eliminate(g: WeightedGraph, matrix: np.ndarray):
     """Pin the pair with the largest |correlator| and shrink the graph.
 
     Ties break toward the lexicographically smallest edge (i, j); the larger
     node index is eliminated and the smaller kept. A zero maximum raises
-    ``AmbiguousEliminationError`` unless ``allow_zero`` is set, in which case
-    the sign defaults to +1.
+    ``AmbiguousEliminationError``.
     """
     matrix = np.asarray(matrix, dtype=float)
     if g.m == 0:
@@ -158,7 +157,7 @@ def eliminate(g: WeightedGraph, matrix: np.ndarray, allow_zero: bool = False):
         if value > best_abs:
             best_abs = value
             best_edge = (i, j)
-    if best_abs == 0.0 and not allow_zero:
+    if best_abs == 0.0:
         raise AmbiguousEliminationError("all edge correlators are zero")
     i, j = best_edge
     correlator = matrix[i, j]

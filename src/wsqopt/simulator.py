@@ -106,16 +106,15 @@ class WarmStartAngles:
     """Per-qubit Y-rotation angles theta_i = 2 arcsin(sqrt(clamped c_i))."""
 
     theta: np.ndarray
-    epsilon: float
 
     @classmethod
     def from_c_star(cls, c_star, epsilon: float) -> "WarmStartAngles":
-        return cls.from_probabilities(clamp_probabilities(c_star, epsilon), epsilon)
+        return cls.from_probabilities(clamp_probabilities(c_star, epsilon))
 
     @classmethod
-    def from_probabilities(cls, clamped, epsilon: float) -> "WarmStartAngles":
+    def from_probabilities(cls, clamped) -> "WarmStartAngles":
         """Angles of already clamped one-probabilities."""
-        return cls(theta=2.0 * np.arcsin(np.sqrt(clamped)), epsilon=float(epsilon))
+        return cls(theta=2.0 * np.arcsin(np.sqrt(clamped)))
 
     @property
     def n(self) -> int:
@@ -333,7 +332,7 @@ class Circuit:
             self.initial = plus_state(ising.n)
             self.mixer = MixerSpec(kind=kind)
         else:
-            angles = WarmStartAngles.from_probabilities(clamped, epsilon)
+            angles = WarmStartAngles.from_probabilities(clamped)
             self.initial = _product_state(angles)
             self.mixer = MixerSpec(kind=kind, angles=angles)
         self.table = energy_table(ising)
@@ -442,7 +441,7 @@ class Depth1Evaluator:
         # from c_i: at a prepared cut (beta = pi/2, gamma = 0) every correlator
         # is +-1 up to rounding and its last bit decides rqaoa.eliminate;
         # tests/recorded_outputs.json pins the choices this rounding makes.
-        half = WarmStartAngles.from_probabilities(clamped, epsilon).theta / 2.0
+        half = WarmStartAngles.from_probabilities(clamped).theta / 2.0
         cos_h, sin_h = np.cos(half), np.sin(half)
         self.cos_t = cos_h * cos_h - sin_h * sin_h
         self.sin_t = 2.0 * cos_h * sin_h

@@ -15,20 +15,10 @@ from .simulator import Circuit, Depth1Evaluator, QaoaParams, StateVector, index_
 # one and every value within F_TOLERANCE of its value
 X_TOLERANCE = 1e-6
 F_TOLERANCE = 1e-9
-
-
-@dataclass
-class OptimizerConfig:
-    """Budget and first step of the derivative-free local search."""
-
-    max_evals: int = 2000
-    initial_simplex_scale: float = 0.1
-
-    def __post_init__(self):
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be at least 1")
-        if self.initial_simplex_scale <= 0:
-            raise ValueError("simplex scale must be positive")
+# evaluation budget of one search, and the step from x0 to the other
+# vertices of the first simplex
+MAX_EVALS = 2000
+INITIAL_SIMPLEX_SCALE = 0.1
 
 
 @dataclass
@@ -39,15 +29,15 @@ class MinimizeResult:
     reason: str
 
 
-def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> MinimizeResult:
+def minimize(objective, x0) -> MinimizeResult:
     """Nelder-Mead simplex descent with standard coefficients.
 
     Reflection 1, expansion 2, contraction 0.5, shrink 0.5. Deterministic
-    given ``x0`` and ``cfg``; the returned value never exceeds
-    ``objective(x0)`` because the start point is a simplex vertex and the
-    best vertex is non-increasing.
+    given ``x0``; the returned value never exceeds ``objective(x0)`` because
+    the start point is a simplex vertex and the best vertex is
+    non-increasing. Stops with reason ``"max_evals"`` after ``MAX_EVALS``
+    evaluations.
     """
-    cfg = cfg or OptimizerConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
@@ -67,18 +57,18 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> MinimizeResul
     simplex = [x0.copy()]
     for i in range(dim):
         vertex = x0.copy()
-        vertex[i] += cfg.initial_simplex_scale
+        vertex[i] += INITIAL_SIMPLEX_SCALE
         simplex.append(vertex)
     values = []
     for vertex in simplex:
-        if evals >= cfg.max_evals:
+        if evals >= MAX_EVALS:
             return MinimizeResult(best_x, best_f, evals, "max_evals")
         values.append(score(vertex))
     simplex = np.array(simplex)
     values = np.array(values)
 
     reason = "max_evals"
-    while evals < cfg.max_evals:
+    while evals < MAX_EVALS:
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
         if (
@@ -93,7 +83,7 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> MinimizeResul
         reflected = centroid + (centroid - worst)
         f_reflected = score(reflected)
         if f_reflected < values[0]:
-            if evals < cfg.max_evals:
+            if evals < MAX_EVALS:
                 expanded = centroid + 2.0 * (centroid - worst)
                 f_expanded = score(expanded)
                 if f_expanded < f_reflected:
@@ -104,7 +94,7 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> MinimizeResul
         if f_reflected < values[-2]:
             simplex[-1], values[-1] = reflected, f_reflected
             continue
-        if evals >= cfg.max_evals:
+        if evals >= MAX_EVALS:
             break
         if f_reflected < values[-1]:
             contracted = centroid + 0.5 * (reflected - centroid)
@@ -121,18 +111,22 @@ def minimize(objective, x0, cfg: OptimizerConfig | None = None) -> MinimizeResul
         # shrink toward the best vertex
         for i in range(1, dim + 1):
             simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-            if evals >= cfg.max_evals:
+            if evals >= MAX_EVALS:
                 break
             values[i] = score(simplex[i])
     return MinimizeResult(best_x, best_f, evals, reason)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
-    """Inclusive rectangular grid over (beta, gamma)."""
+    """Rectangular grid of beta_points x gamma_points angles (default 24x24).
 
-    beta_range: tuple
-    gamma_range: tuple
+    Beta covers [0, pi) and gamma [0, 2 pi), each in equal steps with the
+    upper end left out: the mixer is pi-periodic in beta up to phase and
+    integer-weight cost layers are 2 pi-periodic in gamma. An even
+    ``beta_points`` puts pi/2 exactly on the grid.
+    """
+
     beta_points: int = 24
     gamma_points: int = 24
 
@@ -141,25 +135,12 @@ class GridSpec:
             raise ValueError("need at least two points per axis")
 
     def beta_axis(self) -> np.ndarray:
-        return np.linspace(self.beta_range[0], self.beta_range[1], self.beta_points)
+        b = self.beta_points
+        return np.linspace(0.0, np.pi * (b - 1) / b, b)
 
     def gamma_axis(self) -> np.ndarray:
-        return np.linspace(self.gamma_range[0], self.gamma_range[1], self.gamma_points)
-
-
-def default_depth1_grid() -> GridSpec:
-    """24x24 grid covering beta in [0, pi) and gamma in [0, 2 pi).
-
-    Spacing pi/24 along beta puts pi/2 exactly on the grid; the mixer is
-    pi-periodic in beta up to phase and integer-weight cost layers are
-    2 pi-periodic in gamma.
-    """
-    return GridSpec(
-        beta_range=(0.0, np.pi * 23.0 / 24.0),
-        gamma_range=(0.0, 2.0 * np.pi * 23.0 / 24.0),
-        beta_points=24,
-        gamma_points=24,
-    )
+        g = self.gamma_points
+        return np.linspace(0.0, 2.0 * np.pi * (g - 1) / g, g)
 
 
 def grid_search(objective, spec: GridSpec):
@@ -182,13 +163,7 @@ def grid_search(objective, spec: GridSpec):
     return float(betas[b]), float(gammas[g])
 
 
-def grid_refine(
-    depth1,
-    objective,
-    p: int,
-    grid: GridSpec | None = None,
-    cfg: OptimizerConfig | None = None,
-) -> MinimizeResult:
+def grid_refine(depth1, objective, p: int, grid: GridSpec) -> MinimizeResult:
     """Grid-search (beta_1, gamma_1) with higher layers zeroed, then refine.
 
     ``depth1(beta, gamma)`` is the depth-one energy,
@@ -197,18 +172,16 @@ def grid_refine(
     so ``objective`` is not used there (pass None). At p >= 2 the
     refinement runs on ``objective``, which takes the concatenated (betas,
     gammas) vector of length 2p; zeroed layers 2..p are the identity, so it
-    equals ``depth1`` on the grid. The grid defaults to
-    ``default_depth1_grid``. Returns the ``MinimizeResult`` of the local
+    equals ``depth1`` on the grid. Returns the ``MinimizeResult`` of the local
     search started at the best grid point, its ``evals`` counting the grid
     points too.
     """
-    grid = grid or default_depth1_grid()
     beta, gamma = grid_search(depth1, grid)
     if p == 1:
         objective = lambda x: depth1(x[0], x[1])
     x0 = np.zeros(2 * p)
     x0[0], x0[p] = beta, gamma
-    result = minimize(objective, x0, cfg)
+    result = minimize(objective, x0)
     return replace(result, evals=result.evals + grid.beta_points * grid.gamma_points)
 
 
@@ -246,8 +219,7 @@ def run_qaoa(
     epsilon: float = 0.25,
     p: int = 1,
     seeding="grid",
-    grid: GridSpec | None = None,
-    cfg: OptimizerConfig | None = None,
+    grid: GridSpec = GridSpec(),
     seed: int = 0,
     target=None,
 ) -> QaoaResult:
@@ -255,10 +227,10 @@ def run_qaoa(
 
     Seeding modes:
 
-    * ``"grid"`` -- ``grid_refine`` over ``grid`` (default
-      ``default_depth1_grid``): the grid is evaluated at depth one by
-      ``Depth1Evaluator``; at p = 1 the refinement runs on the same
-      evaluator, at p >= 2 all 2p parameters are refined on the statevector;
+    * ``"grid"`` -- ``grid_refine`` over ``grid``: the grid is evaluated at
+      depth one by ``Depth1Evaluator``; at p = 1 the refinement runs on the
+      same evaluator, at p >= 2 all 2p parameters are refined on the
+      statevector;
     * ``("random", k)`` -- best of k local searches from uniform random
       starts (beta in [0, pi), gamma in [0, 2 pi)), seeded deterministically;
     * ``("explicit", x0)`` -- single local search from the given
@@ -269,15 +241,16 @@ def run_qaoa(
     and the state come from one statevector simulation at the returned
     parameters.
     """
+    if p < 1:
+        raise ValueError("depth p must be at least 1")
     circuit = Circuit(ising, mixer_kind, c_star, epsilon)
 
     def objective(x: np.ndarray) -> float:
         return circuit.energy(circuit.state(QaoaParams(betas=x[:p], gammas=x[p:])))
 
-    cfg = cfg or OptimizerConfig()
     if seeding == "grid":
         depth1 = Depth1Evaluator(ising, mixer_kind, c_star, epsilon)
-        result = grid_refine(depth1.energy, objective, p, grid, cfg)
+        result = grid_refine(depth1.energy, objective, p, grid)
     elif isinstance(seeding, tuple) and seeding[0] == "random":
         k = int(seeding[1])
         if k < 1:
@@ -287,7 +260,7 @@ def run_qaoa(
             np.concatenate([rng.uniform(0.0, np.pi, size=p), rng.uniform(0.0, 2.0 * np.pi, size=p)])
             for _ in range(k)
         ]
-        candidates = [minimize(objective, x0, cfg) for x0 in starts]
+        candidates = [minimize(objective, x0) for x0 in starts]
         # min keeps the first of equal values, the earliest start
         best = min(candidates, key=lambda candidate: candidate.fun)
         result = replace(best, evals=sum(candidate.evals for candidate in candidates))
@@ -295,7 +268,7 @@ def run_qaoa(
         x0 = np.asarray(seeding[1], dtype=float)
         if x0.size != 2 * p:
             raise ValueError("explicit start must have length 2p")
-        result = minimize(objective, x0, cfg)
+        result = minimize(objective, x0)
     else:
         raise ValueError(f"unknown seeding spec {seeding!r}")
 

@@ -276,3 +276,84 @@ class TestExperiment:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("experiment", "--recipe", "nope", "--out", str(tmp_path / "x.csv"))
         assert excinfo.value.code == 2
+
+
+class TestEdgeFlags:
+    """Edge values of flags exit 2 with a message instead of crashing or
+    being replaced by a default."""
+
+    @pytest.fixture
+    def graph_path(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_graph(path, complete_graph(5, seed=1))
+        return path
+
+    @pytest.fixture
+    def portfolio_path(self, tmp_path):
+        path = tmp_path / "p.json"
+        assert run_cli("generate", "portfolio", "--n", "3", "--seed", "1", "--out", str(path)) == 0
+        return path
+
+    @pytest.mark.parametrize("grid", ["0x24", "1x24", "24"])
+    def test_bad_grid_exits_2(self, graph_path, capsys, grid):
+        assert run_cli("solve", "--method", "rqaoa", "--instance", str(graph_path), "--grid", grid) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["qaoa", "ws-qaoa"])
+    def test_depth_zero_exits_2(self, graph_path, portfolio_path, capsys, method):
+        for path in (graph_path, portfolio_path):
+            assert run_cli("solve", "--method", method, "--instance", str(path), "--p", "0") == 2
+            assert "depth p must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["sigma", "mu", "q", "B", "lambda"])
+    def test_portfolio_missing_field_exits_2_naming_it(self, portfolio_path, capsys, key):
+        payload = json.loads(portfolio_path.read_text())
+        del payload[key]
+        portfolio_path.write_text(json.dumps(payload))
+        assert run_cli("solve", "--method", "qp", "--instance", str(portfolio_path)) == 2
+        assert f"portfolio field {key!r}" in capsys.readouterr().err
+
+    def test_portfolio_null_field_exits_2_naming_it(self, portfolio_path, capsys):
+        payload = json.loads(portfolio_path.read_text())
+        payload["lambda"] = None
+        portfolio_path.write_text(json.dumps(payload))
+        assert run_cli("solve", "--method", "qp", "--instance", str(portfolio_path)) == 2
+        assert "portfolio field 'lambda'" in capsys.readouterr().err
+
+    def test_portfolio_ill_typed_field_exits_2_naming_it(self, portfolio_path, capsys):
+        payload = json.loads(portfolio_path.read_text())
+        payload["mu"] = [1.0, "x", 2.0]
+        portfolio_path.write_text(json.dumps(payload))
+        assert run_cli("solve", "--method", "qp", "--instance", str(portfolio_path)) == 2
+        assert "portfolio field 'mu'" in capsys.readouterr().err
+
+    def test_multistart_zero_on_graph_exits_2(self, graph_path, capsys):
+        assert run_cli("solve", "--method", "qaoa", "--instance", str(graph_path), "--multistart", "0") == 2
+        assert "need at least one start" in capsys.readouterr().err
+
+    def test_multistart_zero_on_portfolio_exits_2(self, portfolio_path, capsys):
+        assert run_cli("solve", "--method", "qaoa", "--instance", str(portfolio_path), "--multistart", "0") == 2
+        assert "need at least one start" in capsys.readouterr().err
+
+    def test_n_stop_zero_exits_2(self, graph_path, capsys):
+        assert run_cli("solve", "--method", "classical-gw", "--instance", str(graph_path), "--n-stop", "0") == 2
+        assert "n_stop must be at least 1" in capsys.readouterr().err
+
+    def test_experiment_instances_zero_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "fig7.csv"
+        assert run_cli("experiment", "--recipe", "fig7", "--n", "6", "--instances", "0", "--out", str(out)) == 2
+        assert "experiment produced no rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_n_zero_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "fig7.csv"
+        assert run_cli("experiment", "--recipe", "fig7", "--n", "0", "--instances", "1", "--out", str(out)) == 2
+        assert "need at least two nodes" in capsys.readouterr().err
+
+    def test_experiment_multistart_zero_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "fig2.csv"
+        assert run_cli(
+            "experiment", "--recipe", "fig2", "--n", "3", "--instances", "1",
+            "--multistart", "0", "--out", str(out),
+        ) == 2
+        assert "need at least one start" in capsys.readouterr().err

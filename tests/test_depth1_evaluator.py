@@ -20,14 +20,7 @@ from wsqopt.simulator import (
     QaoaParams,
     depth1_edge_correlators,
 )
-from wsqopt.variational import (
-    GridSpec,
-    OptimizerConfig,
-    default_depth1_grid,
-    grid_search,
-    minimize,
-    run_qaoa,
-)
+from wsqopt.variational import GridSpec, grid_search, minimize, run_qaoa
 
 TOL = 1e-10
 
@@ -92,7 +85,7 @@ def test_matches_statevector(ising, kind, epsilon, c_seed, beta, gamma, second_l
 def test_grid_equals_per_point_energy(kind):
     g = complete_graph(10, seed=21)
     c_star = None if kind == STANDARD_X else np.random.default_rng(4).uniform(0, 1, 10)
-    spec = default_depth1_grid()
+    spec = GridSpec()
     betas, gammas = spec.beta_axis(), spec.gamma_axis()
     grid = Depth1Evaluator(maxcut_to_ising(g), kind, c_star, 0.25).energy(
         betas[:, None], gammas[None, :]
@@ -112,16 +105,14 @@ def test_grid_seeding_at_depth_two_starts_from_depth_one_grid():
         offset=0.4,
     )
     c_star = np.array([0.1, 0.9, 0.5, 0.3])
-    spec = GridSpec(beta_range=(0.0, 3.0), gamma_range=(0.0, 6.0), beta_points=7, gamma_points=9)
-    cfg = OptimizerConfig(max_evals=300)
-    result = run_qaoa(ising, WARM_START, c_star, 0.25, p=2, seeding="grid", grid=spec, cfg=cfg)
+    spec = GridSpec(beta_points=7, gamma_points=9)
+    result = run_qaoa(ising, WARM_START, c_star, 0.25, p=2, seeding="grid", grid=spec)
 
     beta, gamma = grid_search(Depth1Evaluator(ising, WARM_START, c_star, 0.25).energy, spec)
     circuit = Circuit(ising, WARM_START, c_star, 0.25)
     refine = minimize(
         lambda x: circuit.energy(circuit.state(QaoaParams(x[:2], x[2:]))),
         [beta, 0.0, gamma, 0.0],
-        cfg,
     )
     np.testing.assert_array_equal(result.params.betas, refine.x[:2])
     np.testing.assert_array_equal(result.params.gammas, refine.x[2:])
@@ -134,7 +125,7 @@ def test_grid_seeding_at_depth_one_refines_on_the_evaluator(kind, monkeypatch):
     simulated once, for the returned angles."""
     ising = maxcut_to_ising(complete_graph(6, seed=13))
     c_star = None if kind == STANDARD_X else np.array([0.0, 1.0, 0.3, 0.7, 1.0, 0.0])
-    spec = GridSpec(beta_range=(0.0, 3.0), gamma_range=(0.0, 6.0), beta_points=7, gamma_points=9)
+    spec = GridSpec(beta_points=7, gamma_points=9)
     states = []
     original = Circuit.state
 
@@ -163,10 +154,8 @@ def test_grid_seeding_at_depth_one_refines_on_the_evaluator(kind, monkeypatch):
 )
 def test_depth_one_energy_is_the_evaluator_energy(ising, kind, epsilon, c_seed):
     c_star = None if kind == STANDARD_X else np.random.default_rng(c_seed).uniform(0, 1, ising.n)
-    spec = GridSpec(beta_range=(0.0, 3.0), gamma_range=(0.0, 6.0), beta_points=5, gamma_points=6)
-    result = run_qaoa(
-        ising, kind, c_star, epsilon, p=1, seeding="grid", grid=spec, cfg=OptimizerConfig(max_evals=150)
-    )
+    spec = GridSpec(beta_points=5, gamma_points=6)
+    result = run_qaoa(ising, kind, c_star, epsilon, p=1, seeding="grid", grid=spec)
     depth1 = Depth1Evaluator(ising, kind, c_star, epsilon)
     expected = depth1.energy(result.params.betas[0], result.params.gammas[0])
     assert result.energy == pytest.approx(expected, abs=TOL)
@@ -175,7 +164,7 @@ def test_depth_one_energy_is_the_evaluator_energy(ising, kind, epsilon, c_seed):
 class TestEdgeInputs:
     def test_graph_without_edges(self):
         g = WeightedGraph(n=3, edges=[])
-        spec = default_depth1_grid()
+        spec = GridSpec()
         for kind in MIXER_KINDS:
             c_star = None if kind == STANDARD_X else np.array([0.2, 0.5, 1.0])
             evaluator = Depth1Evaluator(maxcut_to_ising(g), kind, c_star, 0.25)
@@ -187,7 +176,7 @@ class TestEdgeInputs:
 
     def test_model_without_couplings_has_its_offset_energy(self):
         ising = IsingModel(n=2, offset=-2.5)
-        spec = default_depth1_grid()
+        spec = GridSpec()
         grid = Depth1Evaluator(ising, STANDARD_X).energy(
             spec.beta_axis()[:, None], spec.gamma_axis()[None, :]
         )
@@ -228,7 +217,7 @@ class TestEdgeInputs:
 
 class TestGridSearch:
     def test_objective_called_once_on_the_whole_grid(self):
-        spec = GridSpec(beta_range=(0.0, 1.0), gamma_range=(0.0, 2.0), beta_points=3, gamma_points=5)
+        spec = GridSpec(beta_points=3, gamma_points=5)
         calls = []
 
         def objective(beta, gamma):
@@ -239,15 +228,15 @@ class TestGridSearch:
         assert calls == [((3, 1), (1, 5))]
 
     def test_first_exact_minimum_in_beta_gamma_order(self):
-        spec = GridSpec(beta_range=(0.0, 3.0), gamma_range=(0.0, 3.0), beta_points=4, gamma_points=4)
+        spec = GridSpec(beta_points=4, gamma_points=4)
         values = np.ones((4, 4))
         values[2, 1] = values[1, 3] = values[3, 0] = 0.0
-        assert grid_search(lambda b, g: values, spec) == (1.0, 3.0)
+        assert grid_search(lambda b, g: values, spec) == (spec.beta_axis()[1], spec.gamma_axis()[3])
 
     def test_nan_points_are_skipped(self):
-        spec = GridSpec(beta_range=(0.0, 1.0), gamma_range=(0.0, 1.0), beta_points=2, gamma_points=2)
+        spec = GridSpec(beta_points=2, gamma_points=2)
         values = np.array([[np.nan, 2.0], [1.0, np.nan]])
-        assert grid_search(lambda b, g: values, spec) == (1.0, 0.0)
+        assert grid_search(lambda b, g: values, spec) == (np.pi / 2, 0.0)
 
 
 def test_rounded_mixer_returns_the_cut():

@@ -72,7 +72,7 @@ class TestSolveQp:
         rng = np.random.default_rng(19)
         a = rng.normal(size=(5, 5))
         qubo = QuboProblem(sigma=a @ a.T, mu=rng.normal(size=5))
-        result = solve_qp(qubo, tol=1e-9)
+        result = solve_qp(qubo)
         grad = 2.0 * qubo.sigma @ result.c_star + qubo.mu
         for value, slope in zip(result.c_star, grad):
             if value <= 1e-9:

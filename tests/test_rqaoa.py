@@ -117,11 +117,6 @@ class TestEliminate:
         with pytest.raises(AmbiguousEliminationError):
             eliminate(g, np.zeros((2, 2)))
 
-    def test_zero_override(self):
-        g = WeightedGraph(n=2, edges=[(0, 1, 1.0)])
-        _, record, _ = eliminate(g, np.zeros((2, 2)), allow_zero=True)
-        assert record.sign == 1
-
     def test_offset_bookkeeping_random(self):
         rng = np.random.default_rng(5)
         for trial in range(10):
